@@ -32,11 +32,11 @@ pdgc::makeAllocatorByName(const std::string &FullName) {
   // fuzzer also use).
   if (NonVolatileFirst) {
     if (Name == "briggs+aggressive")
-      return std::make_unique<BriggsAllocator>(/*BiasedColoring=*/false,
-                                               /*NonVolatileFirst=*/true);
+      return std::make_unique<BriggsAllocator>(
+          BriggsAllocator::Variant::Aggressive, /*NonVolatileFirst=*/true);
     if (Name == "briggs+biased")
-      return std::make_unique<BriggsAllocator>(/*BiasedColoring=*/true,
-                                               /*NonVolatileFirst=*/true);
+      return std::make_unique<BriggsAllocator>(
+          BriggsAllocator::Variant::Biased, /*NonVolatileFirst=*/true);
     if (Name == "optimistic")
       return std::make_unique<OptimisticCoalescingAllocator>(
           /*NonVolatileFirst=*/true);

@@ -83,15 +83,3 @@ void Liveness::recompute(const Function &F,
     }
   }
 }
-
-BitVector Liveness::liveBefore(const BasicBlock *BB, unsigned Index) const {
-  assert(Index < BB->size() && "instruction index out of range");
-  InstIterator It(*this, BB);
-  return It.liveBefore(Index);
-}
-
-BitVector Liveness::liveAfter(const BasicBlock *BB, unsigned Index) const {
-  assert(Index < BB->size() && "instruction index out of range");
-  InstIterator It(*this, BB);
-  return It.liveAfter(Index);
-}

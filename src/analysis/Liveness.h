@@ -7,7 +7,8 @@
 /// \file
 /// Classic backward iterative live-variable analysis over virtual
 /// registers. Runs on phi-free IR (run eliminatePhis first); the allocators
-/// and the interference builder both consume it.
+/// and the interference builder both consume it. Per-instruction live
+/// sets come from one backward walk of a block (`forEachInstReverse`).
 ///
 /// For the spill-round driver the analysis supports warm recomputation:
 /// `recompute` reuses the per-block set storage (and an externally cached
@@ -88,77 +89,6 @@ public:
         Scratch.set(Inst.use(U).id());
     }
   }
-
-  /// Incremental reverse-walk cursor over one block's instruction-level
-  /// live sets. Where `liveBefore`/`liveAfter` rescan the whole block
-  /// suffix on every call — quadratic when a caller queries each
-  /// instruction — the cursor walks backward once, answering a descending
-  /// (or repeated) sequence of queries in amortized O(1) per instruction.
-  /// Querying a higher index than the cursor has passed transparently
-  /// rewinds to the block end, so any query order is *correct*; only
-  /// descending consecutive queries are fast.
-  class InstIterator {
-    const Liveness *LV;
-    const BasicBlock *BB;
-    BitVector Live; ///< Live before instruction Cursor (== after Cursor-1).
-    unsigned Cursor; ///< In [0, BB->size()]; size() means "at block end".
-
-    /// Steps the cursor down over instruction Cursor-1.
-    void stepDown() {
-      assert(Cursor > 0 && "stepping below the block start");
-      const Instruction &Inst = BB->inst(--Cursor);
-      if (Inst.hasDef())
-        Live.reset(Inst.def().id());
-      for (unsigned U = 0, E = Inst.numUses(); U != E; ++U)
-        Live.set(Inst.use(U).id());
-    }
-
-    /// Moves the cursor to \p Target (restarting from the block end when
-    /// the walk already passed it).
-    void rewindTo(unsigned Target) {
-      if (Target > Cursor) {
-        Live = LV->liveOut(BB);
-        Cursor = BB->size();
-      }
-      while (Cursor > Target)
-        stepDown();
-    }
-
-  public:
-    InstIterator(const Liveness &LVIn, const BasicBlock *BBIn)
-        : LV(&LVIn), BB(BBIn), Live(LVIn.liveOut(BBIn)),
-          Cursor(BBIn->size()) {}
-
-    /// Registers live immediately after instruction \p Index. The returned
-    /// reference is invalidated by the next query.
-    const BitVector &liveAfter(unsigned Index) {
-      assert(Index < BB->size() && "instruction index out of range");
-      rewindTo(Index + 1);
-      return Live;
-    }
-
-    /// Registers live immediately before instruction \p Index. The
-    /// returned reference is invalidated by the next query.
-    const BitVector &liveBefore(unsigned Index) {
-      assert(Index < BB->size() && "instruction index out of range");
-      rewindTo(Index);
-      return Live;
-    }
-  };
-
-  /// Returns a fresh reverse-walk cursor for \p BB.
-  InstIterator instIterator(const BasicBlock *BB) const {
-    return InstIterator(*this, BB);
-  }
-
-  /// Returns the registers live immediately before instruction \p Index of
-  /// \p BB. One-shot convenience — O(block suffix); callers querying many
-  /// indices of one block should use instIterator() instead.
-  BitVector liveBefore(const BasicBlock *BB, unsigned Index) const;
-
-  /// Returns the registers live immediately after instruction \p Index.
-  /// Same complexity note as liveBefore.
-  BitVector liveAfter(const BasicBlock *BB, unsigned Index) const;
 };
 
 } // namespace pdgc

@@ -29,7 +29,6 @@ public:
   Function &function() { return F; }
 
   void setInsertBlock(BasicBlock *Block) { BB = Block; }
-  BasicBlock *insertBlock() { return BB; }
 
   /// def = imm
   VReg emitLoadImm(std::int64_t Imm, RegClass RC = RegClass::GPR);

@@ -73,7 +73,6 @@ public:
   const std::vector<VReg> &uses() const { return Uses; }
 
   std::int64_t imm() const { return Imm; }
-  void setImm(std::int64_t V) { Imm = V; }
 
   /// For Call instructions: the external callee id (stored in the
   /// immediate field).
@@ -104,9 +103,6 @@ public:
   /// (e.g. the zero-extension after an x86 quarter-word load).
   bool isNarrowDef() const { return NarrowFlag; }
   void setNarrowDef(bool V) { NarrowFlag = V; }
-
-  /// Appends a use (used when splitting phi operands or building calls).
-  void addUse(VReg R) { Uses.push_back(R); }
 
   /// Removes use \p I, shifting later uses down.
   void removeUse(unsigned I) {

@@ -25,11 +25,6 @@ enum class RegClass : std::uint8_t {
   FPR, ///< Floating-point registers.
 };
 
-/// Returns "gpr" or "fpr".
-inline const char *regClassName(RegClass RC) {
-  return RC == RegClass::GPR ? "gpr" : "fpr";
-}
-
 /// Lightweight handle identifying a virtual register within a Function.
 class VReg {
   unsigned Id;

@@ -243,10 +243,3 @@ bool pdgc::verifyFunction(const Function &F,
                           std::vector<std::string> &Errors) {
   return VerifierImpl(F, Errors).run();
 }
-
-void pdgc::verifyFunctionOrAbort(const Function &F) {
-  std::vector<std::string> Errors;
-  if (verifyFunction(F, Errors))
-    return;
-  pdgc_check(false, Errors.front().c_str());
-}

@@ -39,9 +39,6 @@ namespace pdgc {
 ///    the other is live — left to the interference builder, which asserts).
 bool verifyFunction(const Function &F, std::vector<std::string> &Errors);
 
-/// Convenience wrapper that aborts with the first error message.
-void verifyFunctionOrAbort(const Function &F);
-
 } // namespace pdgc
 
 #endif // PDGC_IR_VERIFIER_H

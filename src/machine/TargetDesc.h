@@ -120,8 +120,6 @@ public:
   /// convention "r1: arg0, return, volatile").
   PhysReg returnReg(RegClass RC) const { return firstReg(RC); }
 
-  PairingRule pairingRule() const { return Pairing; }
-
   /// Number of narrow-capable registers per class: the low quarter of the
   /// file (at least one). Narrow operations (quarter-word loads and the
   /// like — Section 3.1's "limited register usage") execute without a

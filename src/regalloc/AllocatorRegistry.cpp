@@ -8,7 +8,6 @@
 
 #include "regalloc/BriggsAllocator.h"
 #include "regalloc/CallCostAllocator.h"
-#include "regalloc/ChaitinAllocator.h"
 #include "regalloc/IteratedCoalescingAllocator.h"
 #include "regalloc/OptimisticCoalescingAllocator.h"
 #include "regalloc/PriorityAllocator.h"
@@ -25,14 +24,17 @@ std::map<std::string, AllocatorFactory> &registry() {
   static std::map<std::string, AllocatorFactory> Map = [] {
     // The regalloc-layer allocators seed the registry on first access.
     std::map<std::string, AllocatorFactory> M;
-    M["chaitin"] = [] { return std::make_unique<ChaitinAllocator>(); };
+    M["chaitin"] = [] {
+      return std::make_unique<BriggsAllocator>(
+          BriggsAllocator::Variant::Chaitin);
+    };
     M["briggs+aggressive"] = [] {
-      return std::make_unique<BriggsAllocator>(/*BiasedColoring=*/false,
-                                               /*NonVolatileFirst=*/false);
+      return std::make_unique<BriggsAllocator>(
+          BriggsAllocator::Variant::Aggressive);
     };
     M["briggs+biased"] = [] {
-      return std::make_unique<BriggsAllocator>(/*BiasedColoring=*/true,
-                                               /*NonVolatileFirst=*/false);
+      return std::make_unique<BriggsAllocator>(
+          BriggsAllocator::Variant::Biased);
     };
     M["iterated"] = [] {
       return std::make_unique<IteratedCoalescingAllocator>();

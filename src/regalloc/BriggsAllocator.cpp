@@ -1,4 +1,4 @@
-//===- regalloc/BriggsAllocator.cpp - Briggs optimistic coloring -----------===//
+//===- regalloc/BriggsAllocator.cpp - Chaitin/Briggs coloring --------------===//
 //
 // Part of the PDGC project.
 //
@@ -29,15 +29,33 @@ RoundResult BriggsAllocator::allocateRound(AllocContext &Ctx) {
   }
   CoalescedCosts CC(Ctx.Costs, UF);
 
+  // Reflects the coalescing in the code (the next round restarts from the
+  // shrunken graph), then reports the spills.
+  auto ReportSpills = [&](std::vector<unsigned> Spills) {
+    std::vector<unsigned> RepOf(N);
+    for (unsigned V = 0; V != N; ++V)
+      RepOf[V] = UF.find(V);
+    rewriteCoalesced(Ctx.F, RepOf);
+    RR.Spilled = std::move(Spills);
+    return std::move(RR);
+  };
+
   ScopedTimer SimplifyTimer("briggs.simplify", "allocator");
   PDGC_FAULT_POINT("briggs.simplify");
   SimplifyResult SR =
       simplifyGraph(Ctx.IG, Ctx.Target,
                     [&](unsigned Node) { return CC.spillMetric(Node); },
-                    /*Optimistic=*/true);
+                    /*Optimistic=*/Kind != Variant::Chaitin);
   SimplifyTimer.finish();
 
+  // Chaitin's pessimistic simplify already chose the round's spills:
+  // report them without selecting.
+  if (!SR.DefiniteSpills.empty())
+    return ReportSpills(std::move(SR.DefiniteSpills));
+
   // Select with optimistic retries: uncolorable nodes become real spills.
+  // After a pessimistic simplify every stacked node was low-degree at
+  // removal, so each finds a color.
   ScopedTimer SelectTimer("briggs.select", "allocator");
   PDGC_FAULT_POINT("briggs.select");
   SelectState SS(Ctx.IG, Ctx.Target);
@@ -47,11 +65,13 @@ RoundResult BriggsAllocator::allocateRound(AllocContext &Ctx) {
     BitVector Avail = SS.availableFor(Node);
     int Color = pickAvailable(Avail, Ctx.Target, NonVolatileFirst);
     if (Color < 0) {
+      assert(Kind != Variant::Chaitin &&
+             "Chaitin stacked node must be colorable");
       assert(!CC.isInfinite(Node) && "unspillable node found no color");
       ActualSpills.push_back(Node);
       continue;
     }
-    if (Biased) {
+    if (Kind == Variant::Biased) {
       // Prefer a color already held by a copy-related partner so that the
       // copy is eliminated without having merged the nodes.
       for (const MoveRecord &MR : Ctx.IG.moves()) {
@@ -73,14 +93,8 @@ RoundResult BriggsAllocator::allocateRound(AllocContext &Ctx) {
     SS.setColor(Node, Color);
   }
 
-  if (!ActualSpills.empty()) {
-    std::vector<unsigned> RepOf(N);
-    for (unsigned V = 0; V != N; ++V)
-      RepOf[V] = UF.find(V);
-    rewriteCoalesced(Ctx.F, RepOf);
-    RR.Spilled = std::move(ActualSpills);
-    return RR;
-  }
+  if (!ActualSpills.empty())
+    return ReportSpills(std::move(ActualSpills));
 
   RR.Color = SS.colors();
   for (unsigned V = 0; V != N; ++V)

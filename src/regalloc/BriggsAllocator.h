@@ -1,19 +1,28 @@
-//===- regalloc/BriggsAllocator.h - Briggs optimistic coloring --*- C++ -*-===//
+//===- regalloc/BriggsAllocator.h - Chaitin/Briggs coloring -----*- C++ -*-===//
 //
 // Part of the PDGC project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Briggs-style optimistic coloring (Figure 1(b) of the paper): aggressive
-/// coalescing as in Chaitin, but a blocked simplification pushes the spill
-/// candidate optimistically; only the select phase, on finding no free
-/// color, turns it into a real spill. This is the paper's
-/// "Briggs + aggressive" comparison point in Figures 9–11.
+/// The classic build–coalesce–simplify–select round of Figure 1 of the
+/// paper, shared by Chaitin's and Briggs's allocators. Both coalesce
+/// aggressively, reflecting each merge in the interference graph, and
+/// differ in one decision: what a blocked simplification does with its
+/// spill candidate.
 ///
-/// An optional biased-coloring mode makes select prefer, among the
-/// available colors, one already given to a copy-related partner
-/// (Briggs' deferred coalescing; Section 3.2).
+///  * **Chaitin** (Figure 1(a)) is pessimistic: the candidate is spilled
+///    outright, and when any node was, the round reports those spills
+///    without running select, so the driver rebuilds and retries. It is
+///    the *base* algorithm of Figure 9: the eliminated-move and spill
+///    ratios of every other allocator are reported relative to it.
+///  * **Briggs** (Figure 1(b)) is optimistic: the candidate is pushed, and
+///    only the select phase, on finding no free color, turns it into a
+///    real spill. This is the paper's "Briggs + aggressive" comparison
+///    point in Figures 9–11.
+///  * **Briggs + biased** adds biased coloring: select prefers, among the
+///    available colors, one already given to a copy-related partner
+///    (Briggs' deferred coalescing; Section 3.2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,20 +33,36 @@
 
 namespace pdgc {
 
-/// Optimistic coloring with aggressive coalescing.
+/// Chaitin- or Briggs-style coloring with aggressive coalescing.
 class BriggsAllocator : public AllocatorBase {
-  bool Biased;
-  bool NonVolatileFirst;
-
 public:
-  explicit BriggsAllocator(bool BiasedColoring = false,
+  /// The three classic comparison points, one per registry name.
+  enum class Variant {
+    Chaitin,    ///< "chaitin": pessimistic simplify.
+    Aggressive, ///< "briggs+aggressive": optimistic simplify.
+    Biased,     ///< "briggs+biased": optimistic simplify, biased select.
+  };
+
+  explicit BriggsAllocator(Variant V = Variant::Aggressive,
                            bool NonVolatileFirstIn = false)
-      : Biased(BiasedColoring), NonVolatileFirst(NonVolatileFirstIn) {}
+      : Kind(V), NonVolatileFirst(NonVolatileFirstIn) {}
 
   const char *name() const override {
-    return Biased ? "briggs+biased" : "briggs+aggressive";
+    switch (Kind) {
+    case Variant::Chaitin:
+      return "chaitin";
+    case Variant::Aggressive:
+      return "briggs+aggressive";
+    case Variant::Biased:
+      return "briggs+biased";
+    }
+    return "briggs+aggressive";
   }
   RoundResult allocateRound(AllocContext &Ctx) override;
+
+private:
+  Variant Kind;
+  bool NonVolatileFirst;
 };
 
 } // namespace pdgc

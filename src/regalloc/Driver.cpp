@@ -284,9 +284,9 @@ pdgc::allocateWithFallback(Function &F, const TargetDesc &Target,
                                ? Deadline()
                                : Options.CancelAt;
 
-    // A site any test can use to fail an arbitrary tier (or all of them)
-    // from the environment, with no code hook. Wrapped so an injected
-    // fatal here behaves like any other tier failure.
+    // The one way to fail a whole tier on purpose: a fault plan such as
+    // `fallback.tier:status@n=1` fails the first tier tried. Wrapped so an
+    // injected fatal here behaves like any other tier failure.
     try {
       PDGC_FAULT_POINT("fallback.tier");
     } catch (const std::exception &E) {
@@ -302,11 +302,6 @@ pdgc::allocateWithFallback(Function &F, const TargetDesc &Target,
       Degradation.FailedTiers.push_back(
           T.Name + ": ALLOCATOR_INTERNAL: allocator is not registered "
                    "in this binary");
-      continue;
-    }
-    if (Options.FailTierHook && Options.FailTierHook(T.Name)) {
-      Degradation.FailedTiers.push_back(
-          T.Name + ": ALLOCATOR_INTERNAL: failure injected by test hook");
       continue;
     }
 

@@ -125,9 +125,6 @@ struct DriverOptions {
   SpillGranularity Granularity = SpillGranularity::PerUse;
   /// Tiers tried in order by allocateWithFallback.
   std::vector<FallbackTier> FallbackChain = defaultFallbackChain();
-  /// Failure-injection hook (tests, fuzzing): a tier whose name this
-  /// returns true for fails immediately with AllocatorInternal.
-  std::function<bool(const std::string &)> FailTierHook;
 };
 
 /// Allocates registers for \p F (modified in place: phis lowered, spill

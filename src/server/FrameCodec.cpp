@@ -13,22 +13,6 @@
 using namespace pdgc;
 using namespace pdgc::server;
 
-const char *server::frameResultName(FrameResult R) {
-  switch (R) {
-  case FrameResult::Ok:
-    return "ok";
-  case FrameResult::ClosedClean:
-    return "closed";
-  case FrameResult::Truncated:
-    return "truncated";
-  case FrameResult::Oversized:
-    return "oversized";
-  case FrameResult::IoError:
-    return "io-error";
-  }
-  return "io-error";
-}
-
 namespace {
 
 /// Reads exactly \p Len bytes. Returns Ok, or ClosedClean when EOF hits

@@ -50,8 +50,6 @@ enum class FrameResult {
   IoError,     ///< read()/write() failed (errno-level problem).
 };
 
-const char *frameResultName(FrameResult R);
-
 /// Reads one frame from \p Fd into \p Payload (replaced, not appended).
 /// \p MaxBytes bounds the allocation; an oversized header leaves the
 /// stream positioned after the header (the connection should be closed —

@@ -91,14 +91,3 @@ std::uint64_t LatencyHistogram::percentileMicros(double P) const {
   }
   return bucketUpperBound(NumBuckets - 1);
 }
-
-std::string LatencyHistogram::toJson() const {
-  std::string Out = "{";
-  Out += "\"count\": " + std::to_string(count());
-  Out += ", \"mean-us\": " + std::to_string(meanMicros());
-  Out += ", \"p50-us\": " + std::to_string(quantile(0.50));
-  Out += ", \"p90-us\": " + std::to_string(quantile(0.90));
-  Out += ", \"p99-us\": " + std::to_string(quantile(0.99));
-  Out += "}";
-  return Out;
-}

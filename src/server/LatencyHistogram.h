@@ -27,7 +27,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace pdgc {
 namespace server {
@@ -72,9 +71,6 @@ public:
   /// callers that want the conservative bucket ceiling rather than the
   /// interpolated estimate of quantile().
   std::uint64_t percentileMicros(double P) const;
-
-  /// {"count":N,"mean-us":M,"p50-us":...,"p90-us":...,"p99-us":...}
-  std::string toJson() const;
 
 private:
   static unsigned bucketFor(std::uint64_t Micros);

@@ -11,20 +11,6 @@
 using namespace pdgc;
 using namespace pdgc::server;
 
-const char *server::requestTypeName(RequestType T) {
-  switch (T) {
-  case RequestType::Alloc:
-    return "ALLOC";
-  case RequestType::Status:
-    return "STATUS";
-  case RequestType::Stats:
-    return "STATS";
-  case RequestType::Ping:
-    return "PING";
-  }
-  return "PING";
-}
-
 const char *server::responseStatusName(ResponseStatus S) {
   switch (S) {
   case ResponseStatus::Ok:
@@ -135,8 +121,7 @@ std::string verbOf(const std::string &FirstLine, std::string &Error) {
 } // namespace
 
 std::string server::serializeRequest(const Request &R) {
-  std::string Out = std::string(ProtocolMagic) + " " +
-                    requestTypeName(R.Type) + "\n";
+  std::string Out = std::string(ProtocolMagic) + " ALLOC\n";
   if (R.BudgetMs != 0)
     Out += "budget-ms: " + std::to_string(R.BudgetMs) + "\n";
   if (R.MaxRounds != 0)
@@ -156,18 +141,11 @@ bool server::parseRequest(const std::string &Payload, Request &Out,
   std::string Verb = verbOf(M.FirstLine, Error);
   if (Verb.empty())
     return false;
-  if (Verb == "ALLOC")
-    Out.Type = RequestType::Alloc;
-  else if (Verb == "STATUS")
-    Out.Type = RequestType::Status;
-  else if (Verb == "STATS")
-    Out.Type = RequestType::Stats;
-  else if (Verb == "PING")
-    Out.Type = RequestType::Ping;
-  else {
+  if (Verb != "ALLOC") {
     Error = "unknown request verb '" + Verb + "'";
     return false;
   }
+  Out.Type = RequestType::Alloc;
   for (const auto &[Key, Value] : M.Headers) {
     if (Key == "budget-ms") {
       if (!parseHeaderNumber(Value, 3600000, Out.BudgetMs)) {

@@ -18,9 +18,9 @@
 ///   func f() { ... }          <- textual IR, verbatim
 /// \endcode
 ///
-/// The first line is the magic plus a verb (ALLOC runs an allocation;
-/// STATUS and STATS are the health/introspection endpoints; PING is a
-/// liveness no-op). Header lines are `key: value` pairs; an empty line
+/// The first line is the magic plus the verb ALLOC, the only one: health
+/// and introspection are served over HTTP on the same port
+/// (server/Server.h). Header lines are `key: value` pairs; an empty line
 /// ends the headers and everything after it is the body. Responses have
 /// the same shape with a status word instead of a verb:
 ///
@@ -56,15 +56,11 @@ namespace server {
 /// Protocol magic of every message's first line.
 inline constexpr const char *ProtocolMagic = "PDGC/1";
 
-/// What the client asked the server to do.
+/// What the client asked the server to do. ALLOC is the only verb; the
+/// type stays so that clients which set it (pdgcbench) still compile.
 enum class RequestType {
-  Alloc,  ///< Run an allocation over the body's textual IR.
-  Status, ///< Health probe: queue depth, shed state, uptime, draining.
-  Stats,  ///< Introspection: counter registry + latency percentiles.
-  Ping,   ///< Liveness no-op; answered OK with an empty body.
+  Alloc, ///< Run an allocation over the body's textual IR.
 };
-
-const char *requestTypeName(RequestType T);
 
 /// Terminal status of one request. Order matters: higher values are
 /// "worse", and worstOf() folds a batch to its most severe member.
@@ -90,7 +86,7 @@ inline ResponseStatus worstOf(ResponseStatus A, ResponseStatus B) {
 
 /// One parsed request message.
 struct Request {
-  RequestType Type = RequestType::Ping;
+  RequestType Type = RequestType::Alloc;
   /// Wall-clock budget for the whole request (queue wait included);
   /// 0 means "use the server default".
   unsigned BudgetMs = 0;
@@ -98,7 +94,7 @@ struct Request {
   unsigned MaxRounds = 0;
   /// Leading allocator tier; empty keeps the server default chain.
   std::string Allocator;
-  /// Textual IR for ALLOC; ignored otherwise.
+  /// Textual IR to allocate.
   std::string Body;
 };
 
@@ -116,7 +112,7 @@ struct Response {
   unsigned WallMs = 0;
   /// Diagnostic for REJECTED/TIMEOUT/MALFORMED/INTERNAL.
   std::string Error;
-  /// Assignment text, degradation records, or health/stats payload.
+  /// Assignment text or degradation records.
   std::string Body;
 };
 

@@ -178,8 +178,6 @@ struct Server::Impl {
   bool handleHttpRequest(int Fd, const HttpRequest &Req,
                          const std::string &Peer);
   Response executeAlloc(AllocJob &Job);
-  Response statusResponse() const;
-  Response statsResponse() const;
   std::string metricsText() const;
   /// Caps a self-generated body the way inbound frames are capped: the
   /// server must not emit what it would refuse to read.
@@ -689,30 +687,6 @@ void Server::Impl::binaryLoop(int Fd, const std::string &Peer) {
     NRequests.fetch_add(1);
     PDGC_STAT("server", "requests").inc();
 
-    // Introspection verbs answer inline — they must work *especially*
-    // when the allocation queue is saturated.
-    if (Req.Type == RequestType::Ping) {
-      if (!respond(Fd, Response(), Arrived, false, Peer, ReqId, "meta",
-                   "ping", BytesIn))
-        break;
-      continue;
-    }
-    if (Req.Type == RequestType::Status) {
-      // Operator polling, distinguishable from alloc traffic.
-      PDGC_STAT("server", "meta_requests").inc();
-      if (!respond(Fd, statusResponse(), Arrived, false, Peer, ReqId, "meta",
-                   "status", BytesIn))
-        break;
-      continue;
-    }
-    if (Req.Type == RequestType::Stats) {
-      PDGC_STAT("server", "meta_requests").inc();
-      if (!respond(Fd, statsResponse(), Arrived, false, Peer, ReqId, "meta",
-                   "stats", BytesIn))
-        break;
-      continue;
-    }
-
     // ALLOC: admission control, then hand off to a worker.
     unsigned BudgetMs = Req.BudgetMs == 0 ? Opts.DefaultBudgetMs
                                           : Req.BudgetMs;
@@ -832,47 +806,8 @@ Response Server::Impl::executeAlloc(AllocJob &Job) {
 }
 
 //===----------------------------------------------------------------------===//
-// Introspection
+// HTTP plane
 //===----------------------------------------------------------------------===//
-
-Response Server::Impl::statusResponse() const {
-  // Registry size = live connection threads + finished-but-unreaped
-  // handles; a leak here (threads joined only at shutdown) is exactly
-  // what the reaper exists to prevent, so expose it to monitoring.
-  std::size_t ConnThreadCount = 0;
-  {
-    MutexLock Lock(ConnMutex);
-    ConnThreadCount = ConnThreads.size() + FinishedConns.size();
-  }
-  Response R;
-  R.Body = "{";
-  R.Body += "\"draining\": ";
-  R.Body += Draining.load(std::memory_order_relaxed) ? "true" : "false";
-  R.Body += ", \"queue-depth\": " + std::to_string(Queue.depth());
-  R.Body += ", \"queue-capacity\": " + std::to_string(Queue.capacity());
-  R.Body += ", \"low-watermark\": " + std::to_string(Queue.lowWatermark());
-  R.Body += ", \"shedding\": ";
-  R.Body += Queue.shedding() ? "true" : "false";
-  R.Body += ", \"connections\": " +
-            std::to_string(Connections.load(std::memory_order_relaxed));
-  R.Body += ", \"conn-threads\": " + std::to_string(ConnThreadCount);
-  R.Body += ", \"inflight\": " +
-            std::to_string(InFlight.load(std::memory_order_relaxed));
-  R.Body += ", \"uptime-ms\": " +
-            std::to_string(microsSince(StartedAt) / 1000);
-  if (Pool) {
-    // Worker-pool state is appended only in isolation mode so the
-    // default server's STATUS body stays byte-identical.
-    const WorkerPoolStats WS = Pool->stats();
-    R.Body += ", \"isolate-workers\": " + std::to_string(Opts.IsolateWorkers);
-    R.Body += ", \"workers-live\": " + std::to_string(WS.Live);
-    R.Body += ", \"worker-crashes\": " + std::to_string(WS.Crashes);
-    R.Body += ", \"quarantined-inputs\": " +
-              std::to_string(WS.QuarantinedInputs);
-  }
-  R.Body += "}\n";
-  return R;
-}
 
 std::string Server::Impl::capBody(std::string Body, const char *What) const {
   // The server refuses inbound frames above MaxFrameBytes; emitting a
@@ -886,20 +821,16 @@ std::string Server::Impl::capBody(std::string Body, const char *What) const {
          ")\"}\n";
 }
 
-Response Server::Impl::statsResponse() const {
-  Response R;
-  R.Body = capBody("{\"latency\": " + Latency.toJson() +
-                       ", \"counters\": " +
-                       StatRegistry::get().snapshot().toJson() + "}\n",
-                   "stats body");
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// HTTP plane
-//===----------------------------------------------------------------------===//
-
 std::string Server::Impl::metricsText() const {
+  // Registry size = live connection threads + finished-but-unreaped
+  // handles; a leak here (threads joined only at shutdown) is exactly
+  // what the reaper exists to prevent, so expose it to monitoring.
+  std::size_t ConnThreadCount = 0;
+  {
+    MutexLock Lock(ConnMutex);
+    ConnThreadCount = ConnThreads.size() + FinishedConns.size();
+  }
+
   std::string Out;
   Out.reserve(8192);
 
@@ -960,6 +891,9 @@ std::string Server::Impl::metricsText() const {
         Connections.load(std::memory_order_relaxed));
   Gauge("pdgc_server_http_connections", "Live HTTP-plane connections.",
         HttpConns.load(std::memory_order_relaxed));
+  Gauge("pdgc_server_conn_threads",
+        "Connection threads not yet joined (live + finished, unreaped).",
+        ConnThreadCount);
   Gauge("pdgc_server_inflight", "ALLOC requests executing in workers.",
         InFlight.load(std::memory_order_relaxed));
   Gauge("pdgc_server_draining", "1 once graceful drain began.",

@@ -14,12 +14,12 @@
 ///
 /// Request life cycle:
 ///
-///   accept -> read frame -> parse message ----------------+
-///     |            |             |                        |
-///     |        MALFORMED     MALFORMED            STATUS/STATS/PING
-///     |        (+close on    (answer, keep        answered inline
-///     |         framing)      connection)                 |
-///     v                                                   v
+///   accept -> read frame -> parse ALLOC message
+///     |            |             |
+///     |        MALFORMED     MALFORMED (answer, keep connection)
+///     |        (+close on
+///     |         framing)
+///     v
 ///   tryPush -> Shed: REJECTED + retry-after    Closed: REJECTED draining
 ///     |
 ///   worker: parse IR -> verify -> allocateWithFallback under the
@@ -43,8 +43,9 @@
 ///    to a self-pipe) stops the acceptor, closes the queue, arms a drain
 ///    deadline that tightens every in-flight request, and run() returns
 ///    once the backlog is served;
-///  * **introspection** — STATUS/STATS answer from the Stats registry,
-///    the queue gauges, and a lock-free latency histogram (p50/p99).
+///  * **introspection** — HTTP on the same port (below) answers from the
+///    Stats registry, the queue gauges, and a lock-free latency
+///    histogram (p50/p99); the binary plane carries only ALLOC.
 ///
 /// **HTTP observability plane.** The same port also answers HTTP/1.1:
 /// a connection's first byte picks its plane (uppercase ASCII = an HTTP
@@ -114,7 +115,7 @@ struct ServerOptions {
   /// Wall budget for finishing in-flight work after requestStop().
   unsigned DrainBudgetMs = 5000;
   /// Frame payload cap (see server/FrameCodec.h). Also bounds the bodies
-  /// the server itself emits (STATS, /metrics, /requests).
+  /// the server itself emits (/metrics, /stats, /requests).
   std::uint32_t MaxFrameBytes = 4u << 20;
   /// Concurrent HTTP-plane connections (a scraper plus a few curls);
   /// one past the cap is answered 503 and closed. Counted separately
@@ -150,10 +151,10 @@ struct ServerOptions {
 };
 
 /// Counters the daemon prints at exit (live values are also served by
-/// STATUS/STATS; these are the lifetime totals).
+/// /metrics and /stats; these are the lifetime totals).
 struct ServerSummary {
   std::uint64_t Accepted = 0;       ///< Connections accepted.
-  std::uint64_t Requests = 0;       ///< Frames that parsed into requests.
+  std::uint64_t Requests = 0;       ///< Frames that parsed into ALLOCs.
   std::uint64_t Ok = 0;             ///< ALLOC answered OK.
   std::uint64_t Degraded = 0;       ///< ALLOC answered DEGRADED.
   std::uint64_t Rejected = 0;       ///< Shed + refused-while-draining.

@@ -107,7 +107,7 @@ struct WorkerExecResult {
   bool Quarantined = false; ///< Rejected by the circuit breaker.
 };
 
-/// Monotonic pool counters, snapshot for /metrics, STATUS, and the drain
+/// Monotonic pool counters, snapshot for /metrics and the drain
 /// summary. Mirrors the `worker.*` stat registry counters but survives
 /// as a per-pool value (the registry is process-global).
 struct WorkerPoolStats {

@@ -127,10 +127,6 @@ private:
   Deadline Saved;
 };
 
-/// The calling thread's current ambient deadline (unset when no
-/// ScopedDeadline is live).
-inline Deadline currentDeadline() { return deadline_detail::Ambient; }
-
 /// Cheap per-iteration cancellation check for hot loops. No ambient
 /// deadline: one bool load. With one: increments a thread-local tick and
 /// samples the clock every 64th call, throwing DeadlineExceeded on

@@ -54,11 +54,6 @@ public:
 
   /// Returns true with probability \p Percent / 100.
   bool roll(unsigned Percent) { return nextBelow(100) < Percent; }
-
-  /// Returns a uniform double in [0, 1).
-  double nextDouble() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
 };
 
 } // namespace pdgc

@@ -72,7 +72,6 @@ public:
     assert(Code != ErrorCode::Ok && "error status requires a non-Ok code");
   }
 
-  static Status okStatus() { return Status(); }
   static Status error(ErrorCode Code, std::string Message) {
     return Status(Code, std::move(Message));
   }

@@ -212,8 +212,6 @@ void pdgc::trace::clear() {
 
 void pdgc::trace::setThreadLane(unsigned Lane) { ThreadLane = Lane; }
 
-unsigned pdgc::trace::threadLane() { return ThreadLane; }
-
 void pdgc::trace::setRequestId(std::uint64_t Id) { ThreadRequestId = Id; }
 
 std::uint64_t pdgc::trace::requestId() { return ThreadRequestId; }

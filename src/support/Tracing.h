@@ -96,7 +96,6 @@ void clear();
 /// Sets the calling thread's lane id (Chrome `tid`). Lane 0 is the main
 /// thread; ThreadPool assigns its workers 1..N.
 void setThreadLane(unsigned Lane);
-unsigned threadLane();
 
 /// Sets the calling thread's current request id (0 = none). While
 /// nonzero, every span and instant the thread emits carries a

@@ -12,7 +12,6 @@
 #include "ir/IRBuilder.h"
 #include "regalloc/BriggsAllocator.h"
 #include "regalloc/CallCostAllocator.h"
-#include "regalloc/ChaitinAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/IteratedCoalescingAllocator.h"
 #include "regalloc/OptimisticCoalescingAllocator.h"
@@ -76,7 +75,7 @@ TEST(Allocators, BriggsOptimismBeatsChaitinPessimismOnC4) {
   TargetDesc Tiny("k2", 2, 2, 1, 1, PairingRule::Adjacent);
 
   DiamondGraph G1;
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   AllocationOutcome ChaitinOut = allocate(G1.F, Tiny, Chaitin);
 
   DiamondGraph G2;
@@ -106,7 +105,7 @@ TEST(Allocators, AggressiveCoalescingEliminatesCopyChains) {
   TargetDesc Target = makeTarget(16);
   Function F("chain");
   Build(F);
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   AllocationOutcome Out = allocate(F, Target, Chaitin);
   EXPECT_EQ(Out.OriginalMoves, 3u);
   EXPECT_EQ(Out.eliminatedMoves(), 3u);
@@ -223,7 +222,7 @@ TEST(Allocators, BiasedColoringEliminatesCopiesWithoutMerging) {
   B.emitStore(C, C, 0);
   B.emitRet();
 
-  BriggsAllocator Biased(/*BiasedColoring=*/true);
+  BriggsAllocator Biased(BriggsAllocator::Variant::Biased);
   AllocationOutcome Out = allocate(F, Target, Biased);
   EXPECT_EQ(Out.remainingMoves(), 0u);
 }
@@ -231,7 +230,7 @@ TEST(Allocators, BiasedColoringEliminatesCopiesWithoutMerging) {
 TEST(Allocators, EveryBaselineHandlesAnEmptyishFunction) {
   TargetDesc Target = makeTarget(16);
   std::unique_ptr<AllocatorBase> Allocators[] = {
-      std::make_unique<ChaitinAllocator>(),
+      std::make_unique<BriggsAllocator>(BriggsAllocator::Variant::Chaitin),
       std::make_unique<BriggsAllocator>(),
       std::make_unique<IteratedCoalescingAllocator>(),
       std::make_unique<OptimisticCoalescingAllocator>(),

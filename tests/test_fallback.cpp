@@ -7,7 +7,7 @@
 // input function is only mutated on success, and the Degradation record
 // says exactly which tier served and why the earlier ones failed. The
 // failing tiers here are deliberately broken mock allocators (and the
-// failure-injection hook), covering each structured failure mode the
+// `fallback.tier` fault site), covering each structured failure mode the
 // driver can report.
 //
 //===----------------------------------------------------------------------===//
@@ -20,6 +20,7 @@
 #include "regalloc/AssignmentChecker.h"
 #include "regalloc/Driver.h"
 #include "support/Debug.h"
+#include "support/FaultInjection.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
@@ -153,21 +154,26 @@ TEST(Fallback, HealthyTierOneDoesNotDegrade) {
   EXPECT_TRUE(Result->Degradation.FailedTiers.empty());
 }
 
-TEST(Fallback, FailTierHookKillsTierOne) {
+TEST(Fallback, FaultPlanKillsTierOne) {
+  if (!fault::compiledIn())
+    GTEST_SKIP() << "faults compiled out";
   TargetDesc Target = makeTarget(16);
   std::unique_ptr<Function> F = makeWorkload(Target);
 
-  DriverOptions Options;
-  Options.FailTierHook = [](const std::string &Tier) {
-    return Tier == "full-preferences";
-  };
+  // The first hit of the per-tier site is the first tier tried.
+  fault::FaultPlan Plan;
+  ASSERT_EQ(fault::parseFaultSpec("fallback.tier:status@n=1", Plan), "");
+  fault::resetSiteCounters();
+  fault::installPlan(Plan);
   StatusOr<AllocationOutcome> Result =
-      allocateWithFallback(*F, Target, Options);
+      allocateWithFallback(*F, Target, DriverOptions());
+  fault::clearPlan();
   ASSERT_TRUE(Result.ok()) << Result.status().toString();
   EXPECT_TRUE(Result->Degradation.Degraded);
   EXPECT_EQ(Result->Degradation.ServedBy, "briggs+aggressive");
   ASSERT_EQ(Result->Degradation.FailedTiers.size(), 1u);
-  EXPECT_NE(Result->Degradation.FailedTiers[0].find("failure injected"),
+  EXPECT_NE(Result->Degradation.FailedTiers[0].find(
+                "full-preferences: ALLOCATOR_INTERNAL: injected fault"),
             std::string::npos)
       << Result->Degradation.FailedTiers[0];
 

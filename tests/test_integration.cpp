@@ -15,7 +15,6 @@
 #include "ir/Verifier.h"
 #include "regalloc/BriggsAllocator.h"
 #include "regalloc/CallCostAllocator.h"
-#include "regalloc/ChaitinAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/IteratedCoalescingAllocator.h"
 #include "regalloc/OptimisticCoalescingAllocator.h"
@@ -33,11 +32,11 @@ namespace {
 
 std::unique_ptr<AllocatorBase> makeAllocator(const std::string &Name) {
   if (Name == "chaitin")
-    return std::make_unique<ChaitinAllocator>();
+    return std::make_unique<BriggsAllocator>(BriggsAllocator::Variant::Chaitin);
   if (Name == "briggs")
     return std::make_unique<BriggsAllocator>();
   if (Name == "briggs-biased")
-    return std::make_unique<BriggsAllocator>(/*BiasedColoring=*/true);
+    return std::make_unique<BriggsAllocator>(BriggsAllocator::Variant::Biased);
   if (Name == "iterated")
     return std::make_unique<IteratedCoalescingAllocator>();
   if (Name == "optimistic")

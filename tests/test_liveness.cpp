@@ -9,9 +9,23 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace pdgc;
 
 namespace {
+
+/// Registers live immediately after each instruction of \p BB, by index,
+/// collected in one forEachInstReverse walk. Live-before instruction I is
+/// live-after I - 1 (live-in for I = 0).
+std::vector<BitVector> liveAfterEach(const Liveness &LV,
+                                     const BasicBlock *BB) {
+  std::vector<BitVector> After(BB->size());
+  LV.forEachInstReverse(BB, [&](unsigned I, const BitVector &LiveAfter) {
+    After[I] = LiveAfter;
+  });
+  return After;
+}
 
 TEST(Liveness, StraightLineKillAndGen) {
   Function F("sl");
@@ -27,16 +41,15 @@ TEST(Liveness, StraightLineKillAndGen) {
   EXPECT_TRUE(LV.liveIn(BB).none());
   EXPECT_TRUE(LV.liveOut(BB).none());
 
-  // Before the store both A and C are live.
-  BitVector BeforeStore = LV.liveBefore(BB, 2);
-  EXPECT_TRUE(BeforeStore.test(A.id()));
-  EXPECT_TRUE(BeforeStore.test(C.id()));
-  // Before the addimm only A is live.
-  BitVector BeforeAdd = LV.liveBefore(BB, 1);
-  EXPECT_TRUE(BeforeAdd.test(A.id()));
-  EXPECT_FALSE(BeforeAdd.test(C.id()));
+  std::vector<BitVector> After = liveAfterEach(LV, BB);
+  // Before the store (after the addimm) both A and C are live.
+  EXPECT_TRUE(After[1].test(A.id()));
+  EXPECT_TRUE(After[1].test(C.id()));
+  // Before the addimm (after the loadimm) only A is live.
+  EXPECT_TRUE(After[0].test(A.id()));
+  EXPECT_FALSE(After[0].test(C.id()));
   // After the store nothing is live.
-  EXPECT_TRUE(LV.liveAfter(BB, 2).none());
+  EXPECT_TRUE(After[2].none());
 }
 
 TEST(Liveness, ValueLiveAcrossBranchJoin) {
@@ -129,53 +142,20 @@ TEST(Liveness, ForEachInstReverseMatchesQueries) {
   B.emitRet();
 
   Liveness LV = Liveness::compute(F);
-  // Consecutive descending queries ride the incremental cursor instead of
-  // rescanning the block suffix per index.
-  Liveness::InstIterator It = LV.instIterator(BB);
+  // Hand-derived live-after sets: {A}, {A, C}, {}, {}. The walk visits
+  // every instruction once, from the block end down.
+  BitVector OnlyA(F.numVRegs()), AAndC(F.numVRegs()), None(F.numVRegs());
+  OnlyA.set(A.id());
+  AAndC.set(A.id());
+  AAndC.set(C.id());
+  const std::vector<BitVector> Want = {OnlyA, AAndC, None, None};
+  std::vector<unsigned> Order;
   LV.forEachInstReverse(BB, [&](unsigned I, const BitVector &LiveAfter) {
-    EXPECT_EQ(LiveAfter, It.liveAfter(I)) << "at instruction " << I;
+    Order.push_back(I);
+    ASSERT_LT(I, Want.size());
+    EXPECT_EQ(LiveAfter, Want[I]) << "at instruction " << I;
   });
-}
-
-TEST(Liveness, InstIteratorMatchesOneShotQueriesInAnyOrder) {
-  Function F("cursor");
-  IRBuilder B(F);
-  BasicBlock *BB = F.createBlock();
-  B.setInsertBlock(BB);
-  VReg A = B.emitLoadImm(1);
-  VReg C = B.emitAddImm(A, 1);
-  VReg D = B.emitBinary(Opcode::Add, A, C);
-  B.emitStore(D, A, 0);
-  B.emitRet();
-
-  Liveness LV = Liveness::compute(F);
-  const unsigned Size = BB->size();
-
-  // Descending (the fast path), with both query flavors interleaved.
-  {
-    Liveness::InstIterator It = LV.instIterator(BB);
-    for (unsigned I = Size; I-- > 0;) {
-      EXPECT_EQ(It.liveAfter(I), LV.liveAfter(BB, I)) << "after " << I;
-      EXPECT_EQ(It.liveBefore(I), LV.liveBefore(BB, I)) << "before " << I;
-    }
-  }
-
-  // Repeated queries at one index are stable.
-  {
-    Liveness::InstIterator It = LV.instIterator(BB);
-    BitVector First = It.liveBefore(2);
-    EXPECT_EQ(First, It.liveBefore(2));
-    EXPECT_EQ(First, It.liveBefore(2));
-  }
-
-  // Ascending queries force the rewind path and must still be correct.
-  {
-    Liveness::InstIterator It = LV.instIterator(BB);
-    for (unsigned I = 0; I != Size; ++I) {
-      EXPECT_EQ(It.liveAfter(I), LV.liveAfter(BB, I)) << "after " << I;
-      EXPECT_EQ(It.liveBefore(I), LV.liveBefore(BB, I)) << "before " << I;
-    }
-  }
+  EXPECT_EQ(Order, (std::vector<unsigned>{3, 2, 1, 0}));
 }
 
 TEST(Liveness, RecomputeReusesStorageAndMatchesFreshCompute) {
@@ -215,7 +195,7 @@ TEST(Liveness, DeadDefinitionIsNotLive) {
   VReg D = B.emitLoadImm(9); // Never used.
   B.emitRet();
   Liveness LV = Liveness::compute(F);
-  EXPECT_FALSE(LV.liveAfter(BB, 0).test(D.id()));
+  EXPECT_FALSE(liveAfterEach(LV, BB)[0].test(D.id()));
   EXPECT_TRUE(LV.liveIn(BB).none());
 }
 

@@ -6,7 +6,7 @@
 
 #include "ir/IRBuilder.h"
 #include "regalloc/AssignmentChecker.h"
-#include "regalloc/ChaitinAllocator.h"
+#include "regalloc/BriggsAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/Metrics.h"
 #include "regalloc/Rewriter.h"
@@ -194,7 +194,7 @@ TEST(Driver, IteratesUntilSpillsSettle) {
   B.emitStore(Acc, V[0], 0);
   B.emitRet();
 
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   AllocationOutcome Out = allocate(F, Tiny, Chaitin);
   EXPECT_GT(Out.Rounds, 1u);
   EXPECT_GT(Out.SpilledRanges, 0u);
@@ -217,7 +217,7 @@ TEST(Driver, ReportsMoveAccounting) {
   B.emitStore(D, D, 0);
   B.emitRet();
 
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   AllocationOutcome Out = allocate(F, Target, Chaitin);
   EXPECT_EQ(Out.OriginalMoves, 2u);
   EXPECT_EQ(Out.eliminatedMoves() + Out.remainingMoves(), 2u);

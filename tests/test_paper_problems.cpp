@@ -13,7 +13,6 @@
 #include "core/PreferenceDirectedAllocator.h"
 #include "ir/IRBuilder.h"
 #include "regalloc/BriggsAllocator.h"
-#include "regalloc/ChaitinAllocator.h"
 #include "regalloc/Driver.h"
 #include "sim/CostSimulator.h"
 
@@ -69,7 +68,7 @@ TEST(PaperProblems, Figure5aPairedLoadVsArgumentCoalescing) {
   Function F1("f5_chaitin"), F2("f5_pdgc");
   Build(F1);
   Build(F2);
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   PreferenceDirectedAllocator Pdgc(pdgcFullOptions());
   double CostChaitin = costWith(Chaitin, Target, F1);
   double CostPdgc = costWith(Pdgc, Target, F2);
@@ -109,7 +108,7 @@ TEST(PaperProblems, Figure6aCoalescenceOrderMatters) {
 
   Function F2("f6a_base");
   Build(F2);
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   double CostChaitin = costWith(Chaitin, Target, F2);
   EXPECT_LE(Cost.total(), CostChaitin);
 }

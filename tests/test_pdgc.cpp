@@ -11,7 +11,7 @@
 
 #include "core/PreferenceDirectedAllocator.h"
 #include "ir/IRBuilder.h"
-#include "regalloc/ChaitinAllocator.h"
+#include "regalloc/BriggsAllocator.h"
 #include "regalloc/Driver.h"
 #include "sim/CostSimulator.h"
 
@@ -262,7 +262,7 @@ TEST(Pdgc, BeatsChaitinOnSimulatedCostForCallHeavyCode) {
   Function F1("a"), F2("b");
   Build(F1);
   Build(F2);
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   PreferenceDirectedAllocator Pdgc(pdgcFullOptions());
   AllocationOutcome O1 = allocate(F1, Target, Chaitin);
   AllocationOutcome O2 = allocate(F2, Target, Pdgc);

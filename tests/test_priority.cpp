@@ -10,7 +10,7 @@
 
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
-#include "regalloc/ChaitinAllocator.h"
+#include "regalloc/BriggsAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/PriorityAllocator.h"
 #include "sim/Interpreter.h"
@@ -100,7 +100,7 @@ TEST(Priority, UsesMoreRegistersThanChaitin) {
     return Used.size();
   };
 
-  ChaitinAllocator Chaitin;
+  BriggsAllocator Chaitin(BriggsAllocator::Variant::Chaitin);
   PriorityAllocator Priority;
   EXPECT_GE(UsedRegs(Priority), UsedRegs(Chaitin));
 }

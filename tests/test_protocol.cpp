@@ -178,11 +178,11 @@ TEST(Protocol, RequestRoundTripsEveryField) {
 
 TEST(Protocol, RequestDefaultsSurviveTheWire) {
   Request In;
-  In.Type = RequestType::Ping;
+  EXPECT_EQ(serializeRequest(In), "PDGC/1 ALLOC\n\n");
   Request Out;
   std::string Error;
   ASSERT_TRUE(parseRequest(serializeRequest(In), Out, Error)) << Error;
-  EXPECT_EQ(Out.Type, RequestType::Ping);
+  EXPECT_EQ(Out.Type, RequestType::Alloc);
   EXPECT_EQ(Out.BudgetMs, 0u);
   EXPECT_EQ(Out.MaxRounds, 0u);
   EXPECT_TRUE(Out.Allocator.empty());
@@ -202,6 +202,18 @@ TEST(Protocol, RequestRejectsBadMagicVerbAndNumbers) {
       parseRequest("PDGC/1 ALLOC\nbudget-ms: 999999999\n\n", Out, Error));
   EXPECT_FALSE(
       parseRequest("PDGC/1 ALLOC\nheader without colon\n\n", Out, Error));
+}
+
+TEST(Protocol, PingStatusStatsAreUnknownVerbs) {
+  // ALLOC is the only verb; the server answers these MALFORMED and points
+  // health and introspection at the HTTP plane.
+  for (const char *Verb : {"PING", "STATUS", "STATS"}) {
+    Request Out;
+    std::string Error;
+    EXPECT_FALSE(
+        parseRequest(std::string("PDGC/1 ") + Verb + "\n\n", Out, Error));
+    EXPECT_EQ(Error, std::string("unknown request verb '") + Verb + "'");
+  }
 }
 
 TEST(Protocol, RequestIgnoresUnknownHeaders) {

@@ -12,7 +12,6 @@
 #include "core/PreferenceDirectedAllocator.h"
 #include "regalloc/BriggsAllocator.h"
 #include "regalloc/CallCostAllocator.h"
-#include "regalloc/ChaitinAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/OptimisticCoalescingAllocator.h"
 #include "sim/CostSimulator.h"
@@ -126,6 +125,12 @@ struct OddEvenCase {
   std::uint64_t Seed;
 };
 
+/// Names the parameter in test listings ("chaitin/s61") instead of a
+/// byte dump that changes from build to build.
+void PrintTo(const OddEvenCase &C, std::ostream *OS) {
+  *OS << C.Allocator << "/s" << C.Seed;
+}
+
 class OddEvenPairing : public ::testing::TestWithParam<OddEvenCase> {};
 
 TEST_P(OddEvenPairing, AllAllocatorsValidUnderOddEvenRule) {
@@ -143,7 +148,8 @@ TEST_P(OddEvenPairing, AllAllocatorsValidUnderOddEvenRule) {
   std::unique_ptr<AllocatorBase> Alloc;
   std::string Name = GetParam().Allocator;
   if (Name == "chaitin")
-    Alloc = std::make_unique<ChaitinAllocator>();
+    Alloc =
+        std::make_unique<BriggsAllocator>(BriggsAllocator::Variant::Chaitin);
   else if (Name == "optimistic")
     Alloc = std::make_unique<OptimisticCoalescingAllocator>();
   else

@@ -10,7 +10,7 @@
 
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
-#include "regalloc/ChaitinAllocator.h"
+#include "regalloc/BriggsAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/SpillCodeInserter.h"
 #include "sim/Interpreter.h"
@@ -125,7 +125,7 @@ TEST(Remat, SemanticsPreservedUnderPressureWithDriver) {
   Build(F2);
   ExecutionResult Reference = runVirtual(F1, {});
 
-  ChaitinAllocator Alloc;
+  BriggsAllocator Alloc(BriggsAllocator::Variant::Chaitin);
   DriverOptions Plain;
   AllocationOutcome O1 = allocate(F1, Tiny, Alloc, Plain);
   DriverOptions WithRemat;

@@ -3,16 +3,16 @@
 // Part of the PDGC project.
 //
 // In-process end-to-end coverage of pdgc-serve's core: real loopback
-// sockets, real worker threads. Covers the request life cycle (PING /
-// STATUS / STATS / ALLOC), request isolation (malformed input answers
-// typed and leaves the connection usable), admission-control hysteresis
-// and deterministic shedding under a stalled worker, graceful drain, the
-// HTTP observability plane sharing the port (sniffing, endpoints,
-// pipelining, /readyz during drain, request-id correlation against the
-// trace buffer), and — the acceptance criterion — chaos sweeps over
-// every server.* and server.http.* fault site crossed with every fault
-// action, asserting the server never crashes and every answered request
-// carries a correct typed status.
+// sockets, real worker threads. Covers the ALLOC life cycle (any other
+// verb, PING / STATUS / STATS included, answers MALFORMED), request
+// isolation (malformed input answers typed and leaves the connection
+// usable), admission-control hysteresis and deterministic shedding under
+// a stalled worker, graceful drain, the HTTP observability plane sharing
+// the port (sniffing, endpoints, pipelining, /readyz during drain,
+// request-id correlation against the trace buffer), and — the acceptance
+// criterion — chaos sweeps over every server.* and server.http.* fault
+// site crossed with every fault action, asserting the server never
+// crashes and every answered request carries a correct typed status.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include "machine/TargetDesc.h"
 #include "server/AdmissionQueue.h"
 #include "server/Client.h"
+#include "server/FrameCodec.h"
 #include "server/Server.h"
 #include "support/FaultInjection.h"
 #include "support/Tracing.h"
@@ -73,7 +74,6 @@ std::string sampleBody(std::uint64_t Seed = 7) {
 
 Request allocRequest(const std::string &Body, unsigned BudgetMs = 0) {
   Request R;
-  R.Type = RequestType::Alloc;
   R.BudgetMs = BudgetMs;
   R.Body = Body;
   return R;
@@ -135,92 +135,6 @@ TEST(AdmissionQueue, CloseWakesABlockedConsumer) {
 //===----------------------------------------------------------------------===//
 // Request life cycle
 //===----------------------------------------------------------------------===//
-
-TEST(ServerEndToEnd, PingStatusStatsAnswerInline) {
-  ServerOptions Opts;
-  Server S(Opts);
-  std::string Error;
-  ASSERT_TRUE(S.start(&Error)) << Error;
-
-  ClientConnection Conn;
-  ASSERT_TRUE(Conn.connect(S.port()));
-
-  Request Req;
-  Response Resp;
-  Req.Type = RequestType::Ping;
-  ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
-
-  Req.Type = RequestType::Status;
-  ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
-  EXPECT_NE(Resp.Body.find("\"queue-depth\""), std::string::npos)
-      << Resp.Body;
-  EXPECT_NE(Resp.Body.find("\"draining\": false"), std::string::npos);
-
-  Req.Type = RequestType::Stats;
-  ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
-  EXPECT_NE(Resp.Body.find("\"latency\""), std::string::npos) << Resp.Body;
-  EXPECT_NE(Resp.Body.find("\"counters\""), std::string::npos);
-
-  Conn.close();
-  S.requestStop();
-  ServerSummary Sum = S.run();
-  EXPECT_EQ(Sum.Accepted, 1u);
-  EXPECT_EQ(Sum.Requests, 3u);
-  EXPECT_TRUE(Sum.DrainedInBudget);
-}
-
-TEST(ServerEndToEnd, FinishedConnectionThreadsAreReaped) {
-  ServerOptions Opts;
-  Server S(Opts);
-  std::string Error;
-  ASSERT_TRUE(S.start(&Error)) << Error;
-
-  // Churn many short-lived connections; each gets its own server thread.
-  // The acceptor must reap finished threads as it goes — a daemon that
-  // only joins at shutdown retains a zombie thread (stack + pthread
-  // bookkeeping) per connection ever served.
-  for (int N = 0; N != 100; ++N) {
-    ClientConnection Churn;
-    ASSERT_TRUE(Churn.connect(S.port()));
-    Request Req;
-    Req.Type = RequestType::Ping;
-    Response Resp;
-    ASSERT_EQ(Churn.call(Req, Resp), TransportError::None);
-    Churn.close();
-  }
-
-  // Every accept reaps; by the time STATUS answers, the churned threads
-  // must be gone from the registry (modulo a few still mid-retirement
-  // under slow scheduling — hence the poll loop, and a bound far below
-  // the 100 a leak would show).
-  const char *Key = "\"conn-threads\": ";
-  long Registered = -1;
-  for (int Attempt = 0; Attempt != 50; ++Attempt) {
-    ClientConnection Conn;
-    ASSERT_TRUE(Conn.connect(S.port()));
-    Request Req;
-    Req.Type = RequestType::Status;
-    Response Resp;
-    ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-    std::size_t Pos = Resp.Body.find(Key);
-    ASSERT_NE(Pos, std::string::npos) << Resp.Body;
-    Registered = std::strtol(
-        Resp.Body.c_str() + Pos + std::strlen(Key), nullptr, 10);
-    Conn.close();
-    if (Registered <= 8)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_LE(Registered, 8) << "connection threads are not being reaped";
-
-  S.requestStop();
-  ServerSummary Sum = S.run();
-  EXPECT_GE(Sum.Accepted, 101u);
-  EXPECT_TRUE(Sum.DrainedInBudget);
-}
 
 TEST(ServerEndToEnd, AllocAnswersOkWithAssignmentBody) {
   Server S((ServerOptions()));
@@ -587,6 +501,91 @@ std::string httpGet(const std::string &Path, bool KeepAlive = true) {
   return Req + "\r\n";
 }
 
+TEST(ServerEndToEnd, PingStatusStatsAnswerMalformed) {
+  Server S((ServerOptions()));
+  std::string Error;
+  ASSERT_TRUE(S.start(&Error)) << Error;
+
+  // ALLOC is the only binary verb; health and introspection live on the
+  // HTTP plane. These verbs die typed and the connection keeps serving.
+  RawConn Conn;
+  ASSERT_TRUE(Conn.connect(S.port()));
+  for (const char *Verb : {"PING", "STATUS", "STATS"}) {
+    SCOPED_TRACE(Verb);
+    ASSERT_TRUE(writeFrame(Conn.Fd, std::string("PDGC/1 ") + Verb + "\n\n"));
+    std::string Payload;
+    ASSERT_EQ(readFrame(Conn.Fd, Payload), FrameResult::Ok);
+    Response Resp;
+    ASSERT_TRUE(parseResponse(Payload, Resp, Error)) << Error;
+    EXPECT_EQ(Resp.Status, ResponseStatus::Malformed);
+    EXPECT_NE(Resp.Error.find("unknown request verb"), std::string::npos)
+        << Resp.Error;
+  }
+  ASSERT_TRUE(
+      writeFrame(Conn.Fd, serializeRequest(allocRequest(sampleBody()))));
+  std::string Payload;
+  ASSERT_EQ(readFrame(Conn.Fd, Payload), FrameResult::Ok);
+  Response Resp;
+  ASSERT_TRUE(parseResponse(Payload, Resp, Error)) << Error;
+  EXPECT_EQ(Resp.Status, ResponseStatus::Ok) << Resp.Error;
+  Conn.close();
+
+  S.requestStop();
+  ServerSummary Sum = S.run();
+  EXPECT_EQ(Sum.Accepted, 1u);
+  EXPECT_EQ(Sum.Requests, 1u);
+  EXPECT_EQ(Sum.Malformed, 3u);
+  EXPECT_EQ(Sum.Ok, 1u);
+  EXPECT_TRUE(Sum.DrainedInBudget);
+}
+
+TEST(ServerEndToEnd, FinishedConnectionThreadsAreReaped) {
+  ServerOptions Opts;
+  Server S(Opts);
+  std::string Error;
+  ASSERT_TRUE(S.start(&Error)) << Error;
+
+  // Churn many short-lived connections; each gets its own server thread.
+  // The acceptor must reap finished threads as it goes — a daemon that
+  // only joins at shutdown retains a zombie thread (stack + pthread
+  // bookkeeping) per connection ever served.
+  const Request Alloc = allocRequest(sampleBody());
+  for (int N = 0; N != 100; ++N) {
+    ClientConnection Churn;
+    ASSERT_TRUE(Churn.connect(S.port()));
+    Response Resp;
+    ASSERT_EQ(Churn.call(Alloc, Resp), TransportError::None);
+    Churn.close();
+  }
+
+  // Every accept reaps; by the time /metrics answers, the churned threads
+  // must be gone from the registry (modulo a few still mid-retirement
+  // under slow scheduling — hence the poll loop, and a bound far below
+  // the 100 a leak would show).
+  const char *Key = "\npdgc_server_conn_threads ";
+  long Registered = -1;
+  for (int Attempt = 0; Attempt != 50; ++Attempt) {
+    RawConn Http;
+    ASSERT_TRUE(Http.connect(S.port()));
+    ASSERT_TRUE(Http.send(httpGet("/metrics", /*KeepAlive=*/false)));
+    const std::string Metrics = Http.recvUntilClosed();
+    Http.close();
+    std::size_t Pos = Metrics.find(Key);
+    ASSERT_NE(Pos, std::string::npos) << Metrics;
+    Registered =
+        std::strtol(Metrics.c_str() + Pos + std::strlen(Key), nullptr, 10);
+    if (Registered <= 8)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(Registered, 8) << "connection threads are not being reaped";
+
+  S.requestStop();
+  ServerSummary Sum = S.run();
+  EXPECT_GE(Sum.Accepted, 101u);
+  EXPECT_TRUE(Sum.DrainedInBudget);
+}
+
 TEST(HttpEndToEnd, EndpointsAnswerOverOneKeepAliveConnection) {
   Server S((ServerOptions()));
   std::string Error;
@@ -815,11 +814,9 @@ TEST(HttpEndToEnd, AmbiguousAsciiFrameIsServedAsHttp400) {
   // still reaches the binary plane on the same port.
   ClientConnection Bin;
   ASSERT_TRUE(Bin.connect(S.port()));
-  Request Req;
-  Req.Type = RequestType::Ping;
   Response Resp;
-  ASSERT_EQ(Bin.call(Req, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
+  ASSERT_EQ(Bin.call(allocRequest(sampleBody()), Resp), TransportError::None);
+  EXPECT_EQ(Resp.Status, ResponseStatus::Ok) << Resp.Error;
   Bin.close();
 
   S.requestStop();

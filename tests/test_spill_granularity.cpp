@@ -10,7 +10,7 @@
 
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
-#include "regalloc/ChaitinAllocator.h"
+#include "regalloc/BriggsAllocator.h"
 #include "regalloc/Driver.h"
 #include "regalloc/SpillCodeInserter.h"
 #include "sim/Interpreter.h"
@@ -113,7 +113,7 @@ TEST(SpillGranularityTest, EndToEndSemanticsUnderPressure) {
     ExecutionResult Reference = runVirtual(*F, {2, 3});
     ASSERT_TRUE(Reference.Completed);
 
-    ChaitinAllocator Alloc;
+    BriggsAllocator Alloc(BriggsAllocator::Variant::Chaitin);
     DriverOptions Options;
     Options.Granularity = SpillGranularity::PerBlock;
     AllocationOutcome Out = allocate(*F, Target, Alloc, Options);
@@ -132,11 +132,11 @@ TEST(SpillGranularityTest, PerBlockNeverInsertsMoreSpillCode) {
     P.PressureValues = 8;
 
     std::unique_ptr<Function> F1 = generateFunction(P, Target);
-    ChaitinAllocator A1;
+    BriggsAllocator A1(BriggsAllocator::Variant::Chaitin);
     AllocationOutcome O1 = allocate(*F1, Target, A1);
 
     std::unique_ptr<Function> F2 = generateFunction(P, Target);
-    ChaitinAllocator A2;
+    BriggsAllocator A2(BriggsAllocator::Variant::Chaitin);
     DriverOptions Options;
     Options.Granularity = SpillGranularity::PerBlock;
     AllocationOutcome O2 = allocate(*F2, Target, A2, Options);

@@ -29,6 +29,13 @@ struct SweepCase {
   unsigned Regs;
 };
 
+/// Names the parameter in test listings ("compress/r16"); without it
+/// gtest dumps the struct's bytes, heap pointer included, and the test
+/// names change from build to build.
+void PrintTo(const SweepCase &C, std::ostream *OS) {
+  *OS << C.Suite << "/r" << C.Regs;
+}
+
 class SuiteSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(SuiteSweep, FullPipelinePreservesSemantics) {

@@ -9,7 +9,7 @@
 // with TTL expiry, crash dossiers, the runAllocGuarded exception
 // backstop, EINTR resilience of the frame codec under a signal storm,
 // the client retry policy's wall-clock budget, and the Server end-to-end
-// in --isolate-workers mode with its /metrics and STATUS surfacing.
+// in --isolate-workers mode with its /metrics surfacing.
 //
 // Everything here runs real forks, real SIGABRTs, and real SIGKILLs —
 // the point of the subsystem is that those are containable events, and
@@ -82,7 +82,6 @@ std::string sampleBody(std::uint64_t Seed = 7) {
 
 Request allocRequest(const std::string &Body, unsigned BudgetMs = 0) {
   Request R;
-  R.Type = RequestType::Alloc;
   R.BudgetMs = BudgetMs;
   R.Body = Body;
   return R;
@@ -682,16 +681,10 @@ TEST(ServerIsolated, CrashIsContainedTypedAndObservable) {
   }
   EXPECT_EQ(Ok.Status, ResponseStatus::Ok) << Ok.Error;
 
-  // STATUS grows the pool fields only in isolation mode.
-  Request St;
-  St.Type = RequestType::Status;
-  ASSERT_EQ(Conn.call(St, Resp), TransportError::None);
-  EXPECT_NE(Resp.Body.find("\"isolate-workers\": 1"), std::string::npos)
-      << Resp.Body;
-  EXPECT_NE(Resp.Body.find("\"worker-crashes\": "), std::string::npos);
   Conn.close();
 
-  // /metrics exposes the live-worker gauge and the worker.* counters.
+  // /metrics grows the pool gauges only in isolation mode, and exposes
+  // the worker.* counters.
   RawConn Http;
   ASSERT_TRUE(Http.connect(S.port()));
   ASSERT_TRUE(Http.send("GET /metrics HTTP/1.1\r\nHost: t\r\n"
@@ -714,20 +707,11 @@ TEST(ServerIsolated, CrashIsContainedTypedAndObservable) {
 }
 
 TEST(ServerDefault, InProcessModeHasNoPoolSurface) {
-  // --isolate-workers=0 (the default) must not leak any pool fields into
-  // STATUS or /metrics: byte-identical observability with the seed.
+  // --isolate-workers=0 (the default) must not leak any pool gauges
+  // into /metrics.
   Server S((ServerOptions()));
   std::string Error;
   ASSERT_TRUE(S.start(&Error)) << Error;
-
-  ClientConnection Conn;
-  ASSERT_TRUE(Conn.connect(S.port()));
-  Request St;
-  St.Type = RequestType::Status;
-  Response Resp;
-  ASSERT_EQ(Conn.call(St, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Body.find("isolate-workers"), std::string::npos);
-  Conn.close();
 
   RawConn Http;
   ASSERT_TRUE(Http.connect(S.port()));
@@ -736,6 +720,8 @@ TEST(ServerDefault, InProcessModeHasNoPoolSurface) {
   std::string Metrics = Http.recvUntilClosed();
   Http.close();
   EXPECT_EQ(Metrics.find("pdgc_server_workers_live"), std::string::npos);
+  EXPECT_EQ(Metrics.find("pdgc_server_quarantined_inputs"),
+            std::string::npos);
 
   S.requestStop();
   ServerSummary Sum = S.run();

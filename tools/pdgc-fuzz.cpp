@@ -114,6 +114,7 @@ struct FuzzConfig {
   std::string CorpusDir = "tests/corpus";
   unsigned TimeoutSecs = 20;
   unsigned MutatePercent = 30;
+  /// Tier dropped from the fallback chain each case exercises.
   std::string KillTier;
   unsigned long MaxSave = 16;
   unsigned Jobs = 1;
@@ -374,15 +375,14 @@ bool runCase(const std::string &Text, const TargetDesc &Target,
                                           Target.name()});
   }
 
-  // Exercise the fallback chain end to end, optionally killing a tier via
-  // the injection hook: the pipeline must still serve a checker-valid
+  // Exercise the fallback chain end to end, optionally without a killed
+  // tier: the rest of the chain must still serve a checker-valid
   // assignment.
   DriverOptions ChainOptions;
   ChainOptions.TimeBudgetMs = ChainBudgetMs;
-  if (!KillTier.empty())
-    ChainOptions.FailTierHook = [&](const std::string &Tier) {
-      return Tier == KillTier;
-    };
+  std::erase_if(ChainOptions.FallbackChain, [&](const FallbackTier &T) {
+    return T.Name == KillTier;
+  });
   std::unique_ptr<Function> ChainF = cloneFunction(*F);
   StatusOr<AllocationOutcome> ChainResult =
       allocateWithFallback(*ChainF, Target, ChainOptions);

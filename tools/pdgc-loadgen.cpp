@@ -221,7 +221,6 @@ int main(int argc, char **argv) {
       if (Idx >= Requests)
         return;
       Request Req;
-      Req.Type = RequestType::Alloc;
       Req.BudgetMs = BudgetMs;
       Req.Allocator = Allocator;
       Req.Body = Bodies[Idx % Bodies.size()];

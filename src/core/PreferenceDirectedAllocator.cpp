@@ -51,12 +51,38 @@ namespace {
 /// One honorable preference with its screening mask.
 struct ScoredPref {
   double Strength;
-  BitVector Mask; ///< Registers honoring it (not yet intersected w/ avail).
+  RegMask Mask; ///< Registers honoring it (not yet intersected w/ avail).
 };
+
+/// Orders \p Prefs strongest first, keeping the order of equal strengths —
+/// what std::stable_sort would produce, without its temporary buffer. The
+/// lists hold a node's few preferences, so insertion sort is the cheap
+/// choice.
+void sortStrongestFirst(std::vector<ScoredPref> &Prefs) {
+  for (unsigned I = 1, E = Prefs.size(); I < E; ++I) {
+    const ScoredPref P = Prefs[I];
+    unsigned J = I;
+    for (; J > 0 && Prefs[J - 1].Strength < P.Strength; --J)
+      Prefs[J] = Prefs[J - 1];
+    Prefs[J] = P;
+  }
+}
+
+/// Narrows \p Screened by each mask of \p Prefs in turn, skipping a mask
+/// that would leave nothing (step 4.2's screening).
+RegMask screen(RegMask Screened, const std::vector<ScoredPref> &Prefs) {
+  for (const ScoredPref &P : Prefs) {
+    const RegMask Narrowed = Screened & P.Mask;
+    if (Narrowed.any())
+      Screened = Narrowed;
+  }
+  return Screened;
+}
 
 /// The integrated select phase of Section 5.3.
 class PDGCSelect {
   AllocContext &Ctx;
+  const TargetDesc &Target;
   const PDGCOptions &Opt;
   RegisterPreferenceGraph RPG;
   ColoringPrecedenceGraph CPG;
@@ -65,13 +91,15 @@ class PDGCSelect {
   std::vector<char> Done;
   std::vector<unsigned> InDeg;
   std::vector<unsigned> Queue;
+  /// colorNode's preference lists, reused from node to node.
+  std::vector<ScoredPref> Prefs, Pending;
 
 public:
   std::vector<unsigned> Spills;
 
   PDGCSelect(AllocContext &CtxIn, const PDGCOptions &OptIn,
              const SimplifyResult &SR)
-      : Ctx(CtxIn), Opt(OptIn),
+      : Ctx(CtxIn), Target(CtxIn.Target), Opt(OptIn),
         RPG([&] {
           ScopedTimer Timer("pdgc.rpg_build", "allocator");
           PDGC_FAULT_POINT("pdgc.rpg_build");
@@ -114,57 +142,16 @@ public:
     pdgc_unreachable("unknown preference kind");
   }
 
-  /// Registers that can be the *second* of a pair whose first is \p First.
-  BitVector pairAfter(PhysReg First) const {
-    BitVector M(Ctx.Target.numRegs());
-    RegClass RC = Ctx.Target.regClass(First);
-    PhysReg Base = Ctx.Target.firstReg(RC);
-    for (unsigned I = 0, E = Ctx.Target.numRegs(RC); I != E; ++I)
-      if (Ctx.Target.pairFuses(First, Base + I))
-        M.set(Base + I);
-    return M;
-  }
-
-  /// Registers that can be the *first* of a pair whose second is \p Second.
-  BitVector pairBefore(PhysReg Second) const {
-    BitVector M(Ctx.Target.numRegs());
-    RegClass RC = Ctx.Target.regClass(Second);
-    PhysReg Base = Ctx.Target.firstReg(RC);
-    for (unsigned I = 0, E = Ctx.Target.numRegs(RC); I != E; ++I)
-      if (Ctx.Target.pairFuses(Base + I, Second))
-        M.set(Base + I);
-    return M;
-  }
-
-  /// Mask of registers of \p RC with the requested volatility.
-  BitVector volatilityMask(RegClass RC, bool Volatile) const {
-    BitVector M(Ctx.Target.numRegs());
-    PhysReg Base = Ctx.Target.firstReg(RC);
-    for (unsigned I = 0, E = Ctx.Target.numRegs(RC); I != E; ++I)
-      if (Ctx.Target.isVolatile(Base + I) == Volatile)
-        M.set(Base + I);
-    return M;
-  }
-
-  /// Mask of the narrow-capable registers of \p RC.
-  BitVector narrowMask(RegClass RC) const {
-    BitVector M(Ctx.Target.numRegs());
-    PhysReg Base = Ctx.Target.firstReg(RC);
-    for (unsigned I = 0, E = Ctx.Target.numRegs(RC); I != E; ++I)
-      if (Ctx.Target.isNarrowCapable(Base + I))
-        M.set(Base + I);
-    return M;
-  }
-
-  /// Steps 2.1–2.3: the preferences of \p Q that are honorable now, given
-  /// prior selections and the available set.
-  std::vector<ScoredPref> honorablePrefs(unsigned Q,
-                                         const BitVector &Avail) const {
-    std::vector<ScoredPref> Result;
+  /// Steps 2.1–2.3: calls \p Visit(Strength, Mask) for each preference of
+  /// \p Q that is honorable now, given prior selections and the available
+  /// set, in the RPG's order.
+  template <typename VisitFn>
+  void forEachHonorablePref(unsigned Q, RegMask Avail, VisitFn Visit) const {
+    const RegClass RC = Ctx.F.regClass(VReg(Q));
     for (const Preference &P : RPG.preferencesOf(VReg(Q))) {
       if (!prefEnabled(P))
         continue;
-      BitVector Mask(Ctx.Target.numRegs());
+      RegMask Mask;
       double Strength = 0.0;
       switch (P.Target.Kind) {
       case PrefTarget::LiveRange: {
@@ -173,16 +160,14 @@ public:
           continue; // Dropped (2.1) or deferred to the pending set (2.2).
         PhysReg C = static_cast<PhysReg>(SS.color(B));
         if (P.Kind == PrefKind::Coalesce)
-          Mask.set(C);
+          Mask = RegMask::single(C);
         else if (P.Kind == PrefKind::SequentialPlus)
-          Mask = pairAfter(C);
+          Mask = Target.pairAfter(C);
         else
-          Mask = pairBefore(C);
+          Mask = Target.pairBefore(C);
         // Strength at the best register the mask still allows.
         Strength = -std::numeric_limits<double>::infinity();
-        BitVector Usable = Mask;
-        Usable &= Avail;
-        for (unsigned R : Usable.setBits()) {
+        for (unsigned R : Mask & Avail) {
           double S = RPG.strength(P, static_cast<PhysReg>(R));
           if (S > Strength)
             Strength = S;
@@ -190,60 +175,58 @@ public:
         break;
       }
       case PrefTarget::Register:
-        Mask.set(P.Target.Value);
+        Mask = RegMask::single(P.Target.Value);
         Strength = RPG.strength(P, static_cast<PhysReg>(P.Target.Value));
         break;
       case PrefTarget::VolatileClass:
-        Mask = volatilityMask(Ctx.F.regClass(VReg(Q)), /*Volatile=*/true);
+        Mask = Target.volatileMask(RC);
         Strength = Ctx.Costs.registerBenefit(VReg(Q), /*VolatileReg=*/true);
         break;
       case PrefTarget::NonVolatileClass:
-        Mask = volatilityMask(Ctx.F.regClass(VReg(Q)), /*Volatile=*/false);
+        Mask = Target.nonVolatileMask(RC);
         Strength =
             Ctx.Costs.registerBenefit(VReg(Q), /*VolatileReg=*/false);
         break;
       case PrefTarget::NarrowRegisters:
-        Mask = narrowMask(Ctx.F.regClass(VReg(Q)));
+        Mask = Target.narrowMask(RC);
         Strength = RPG.bestStrength(P);
         break;
       }
-      BitVector Usable = Mask;
-      Usable &= Avail;
-      if (Usable.none())
+      if ((Mask & Avail).none())
         continue; // Cannot be honored any more (step 2.1).
-      Result.push_back(ScoredPref{Strength, std::move(Mask)});
+      Visit(Strength, Mask);
     }
-    return Result;
   }
 
   /// Step 3's key: the strength differential between the strongest and
   /// weakest honorable preference — how much is at stake if this node gets
   /// its worst remaining placement instead of its best.
   double differential(unsigned Q) const {
-    BitVector Avail = SS.availableFor(Q);
+    RegMask Avail = SS.availableFor(Q);
     if (Avail.none())
       return 0.0; // Will be spilled whenever chosen.
-    std::vector<ScoredPref> Prefs = honorablePrefs(Q, Avail);
-    if (Prefs.empty())
-      return 0.0;
+    unsigned Honorable = 0;
     double Strongest = -std::numeric_limits<double>::infinity();
     double Weakest = std::numeric_limits<double>::infinity();
-    for (const ScoredPref &P : Prefs) {
-      Strongest = std::max(Strongest, P.Strength);
-      Weakest = std::min(Weakest, P.Strength);
-    }
+    forEachHonorablePref(Q, Avail, [&](double Strength, RegMask) {
+      ++Honorable;
+      Strongest = std::max(Strongest, Strength);
+      Weakest = std::min(Weakest, Strength);
+    });
+    if (Honorable == 0)
+      return 0.0;
     // A node with a single honorable preference has no weaker fallback:
     // the stake of deferring it is the preference itself.
-    if (Prefs.size() == 1)
+    if (Honorable == 1)
       return Strongest > 0.0 ? Strongest : 0.0;
     return Strongest - Weakest;
   }
 
-  /// Step 4.3: registers to keep so that still-pending preferences (of
-  /// this node, or of uncolored nodes targeting it) stay honorable.
-  std::vector<ScoredPref> pendingConstraints(unsigned Q) const {
-    std::vector<ScoredPref> Result;
-    auto AvailTo = [&](unsigned X) { return SS.availableFor(X); };
+  /// Step 4.3: fills \p Out with the registers to keep so that
+  /// still-pending preferences (of this node, or of uncolored nodes
+  /// targeting it) stay honorable.
+  void pendingConstraints(unsigned Q, std::vector<ScoredPref> &Out) const {
+    Out.clear();
 
     // This node's own preferences toward uncolored partners.
     for (const Preference &P : RPG.preferencesOf(VReg(Q))) {
@@ -252,28 +235,28 @@ public:
       unsigned B = P.Target.Value;
       if (Spilled[B] || SS.hasColor(B) || Ctx.IG.interferes(Q, B))
         continue;
-      BitVector PartnerAvail = AvailTo(B);
-      BitVector Keep(Ctx.Target.numRegs());
-      for (unsigned R : PartnerAvail.setBits()) {
-        switch (P.Kind) {
-        case PrefKind::Coalesce:
-          Keep.set(R); // q should take a register b can share.
-          break;
-        case PrefKind::SequentialPlus:
-          // q is the second; b (first) will take R, q pairs after it.
-          Keep |= pairAfter(static_cast<PhysReg>(R));
-          break;
-        case PrefKind::SequentialMinus:
-          // q is the first; b (second) will take R, q pairs before it.
-          Keep |= pairBefore(static_cast<PhysReg>(R));
-          break;
-        case PrefKind::Prefers:
-        case PrefKind::Restricted:
-          break;
-        }
+      const RegMask PartnerAvail = SS.availableFor(B);
+      RegMask Keep;
+      switch (P.Kind) {
+      case PrefKind::Coalesce:
+        Keep = PartnerAvail; // q should take a register b can share.
+        break;
+      case PrefKind::SequentialPlus:
+        // q is the second; b (first) will take R, q pairs after it.
+        for (unsigned R : PartnerAvail)
+          Keep |= Target.pairAfter(static_cast<PhysReg>(R));
+        break;
+      case PrefKind::SequentialMinus:
+        // q is the first; b (second) will take R, q pairs before it.
+        for (unsigned R : PartnerAvail)
+          Keep |= Target.pairBefore(static_cast<PhysReg>(R));
+        break;
+      case PrefKind::Prefers:
+      case PrefKind::Restricted:
+        break;
       }
       if (Keep.any())
-        Result.push_back(ScoredPref{RPG.bestStrength(P), std::move(Keep)});
+        Out.push_back(ScoredPref{RPG.bestStrength(P), Keep});
     }
 
     // Preferences of uncolored nodes targeting this node.
@@ -284,8 +267,8 @@ public:
       if (X == Q || Spilled[X] || SS.hasColor(X) ||
           Ctx.IG.interferes(Q, X))
         continue;
-      BitVector SourceAvail = AvailTo(X);
-      BitVector Keep(Ctx.Target.numRegs());
+      const RegMask SourceAvail = SS.availableFor(X);
+      RegMask Keep;
       switch (P.Kind) {
       case PrefKind::Coalesce:
         Keep = SourceAvail; // Pick a register x can copy onto.
@@ -293,21 +276,20 @@ public:
       case PrefKind::SequentialPlus:
         // x is the second of the pair, q the first: keep q's registers R
         // such that some register pairing after R is open for x.
-        for (unsigned R : SourceAvail.setBits())
-          Keep |= pairBefore(static_cast<PhysReg>(R));
+        for (unsigned R : SourceAvail)
+          Keep |= Target.pairBefore(static_cast<PhysReg>(R));
         break;
       case PrefKind::SequentialMinus:
-        for (unsigned R : SourceAvail.setBits())
-          Keep |= pairAfter(static_cast<PhysReg>(R));
+        for (unsigned R : SourceAvail)
+          Keep |= Target.pairAfter(static_cast<PhysReg>(R));
         break;
       case PrefKind::Prefers:
       case PrefKind::Restricted:
         break;
       }
       if (Keep.any())
-        Result.push_back(ScoredPref{RPG.bestStrength(P), std::move(Keep)});
+        Out.push_back(ScoredPref{RPG.bestStrength(P), Keep});
     }
-    return Result;
   }
 
   void spill(unsigned Q) {
@@ -320,17 +302,18 @@ public:
 
   /// Step 4: find a suitable register (or spill) for the chosen node.
   void colorNode(unsigned Q) {
-    BitVector Avail = SS.availableFor(Q);
+    RegMask Avail = SS.availableFor(Q);
     if (Avail.none()) {
       spill(Q);
       return;
     }
+    const RegClass RC = Ctx.F.regClass(VReg(Q));
 
-    std::vector<ScoredPref> Prefs = honorablePrefs(Q, Avail);
-    std::stable_sort(Prefs.begin(), Prefs.end(),
-                     [](const ScoredPref &A, const ScoredPref &B) {
-                       return A.Strength > B.Strength;
-                     });
+    Prefs.clear();
+    forEachHonorablePref(Q, Avail, [&](double Strength, RegMask Mask) {
+      Prefs.push_back(ScoredPref{Strength, Mask});
+    });
+    sortStrongestFirst(Prefs);
 
     if (Opt.ActiveSpill && !Ctx.Costs.isInfinite(VReg(Q))) {
       // Section 5.4: when memory is the strongest preference, spill now
@@ -339,14 +322,10 @@ public:
       double Best = -std::numeric_limits<double>::infinity();
       for (const ScoredPref &P : Prefs)
         Best = std::max(Best, P.Strength);
-      bool HasVol = false, HasNonVol = false;
-      for (unsigned R : Avail.setBits())
-        (Ctx.Target.isVolatile(static_cast<PhysReg>(R)) ? HasVol
-                                                        : HasNonVol) = true;
-      if (HasVol)
+      if ((Avail & Target.volatileMask(RC)).any())
         Best = std::max(
             Best, Ctx.Costs.registerBenefit(VReg(Q), /*VolatileReg=*/true));
-      if (HasNonVol)
+      if ((Avail & Target.nonVolatileMask(RC)).any())
         Best = std::max(Best, Ctx.Costs.registerBenefit(
                                   VReg(Q), /*VolatileReg=*/false));
       if (Best < 0.0) {
@@ -357,39 +336,20 @@ public:
 
     // Step 4.2: honor preferences from strongest to weakest; each honored
     // preference screens the candidate set for the weaker ones.
-    BitVector Screened = Avail;
-    for (const ScoredPref &P : Prefs) {
-      BitVector Narrowed = Screened;
-      Narrowed &= P.Mask;
-      if (Narrowed.any())
-        Screened = std::move(Narrowed);
-    }
+    RegMask Screened = screen(Avail, Prefs);
 
     // Step 4.3: avoid registers that would block pending preferences.
     if (Opt.PendingLookahead) {
-      std::vector<ScoredPref> Pending = pendingConstraints(Q);
-      std::stable_sort(Pending.begin(), Pending.end(),
-                       [](const ScoredPref &A, const ScoredPref &B) {
-                         return A.Strength > B.Strength;
-                       });
-      for (const ScoredPref &P : Pending) {
-        BitVector Narrowed = Screened;
-        Narrowed &= P.Mask;
-        if (Narrowed.any())
-          Screened = std::move(Narrowed);
-      }
+      pendingConstraints(Q, Pending);
+      sortStrongestFirst(Pending);
+      Screened = screen(Screened, Pending);
     }
 
     // Step 4.4: allocate. Without stronger guidance fall back to the
     // configured partition order.
     int Pick = -1;
-    if (Opt.NonVolatileFirst) {
-      for (unsigned R : Screened.setBits())
-        if (!Ctx.Target.isVolatile(static_cast<PhysReg>(R))) {
-          Pick = static_cast<int>(R);
-          break;
-        }
-    }
+    if (Opt.NonVolatileFirst)
+      Pick = (Screened & Target.nonVolatileMask(RC)).findFirst();
     if (Pick < 0)
       Pick = Screened.findFirst();
     assert(Pick >= 0 && "screened set became empty");

@@ -14,12 +14,17 @@
 /// each class doubling as the return register — the conventions the paper
 /// describes for its IA-64 measurements, reduced to their essentials.
 ///
+/// Register sets are RegMasks: a class holds at most MaxRegsPerClass
+/// registers, so the whole file fits in one 64-bit word, and the class,
+/// volatility, narrow and pairing sets below are O(1) word operations.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PDGC_MACHINE_TARGETDESC_H
 #define PDGC_MACHINE_TARGETDESC_H
 
 #include "ir/VReg.h"
+#include "machine/RegMask.h"
 #include "support/Debug.h"
 
 #include <string>
@@ -29,6 +34,12 @@ namespace pdgc {
 
 /// A physical register id; GPRs occupy [0, numGPRs), FPRs follow.
 using PhysReg = unsigned;
+
+/// Registers per class a target may have. The upper bound is the paper's
+/// largest model (32 per class), which makes the two classes fill one
+/// RegMask word; the tools accept exactly this range for `--regs`.
+constexpr unsigned MinRegsPerClass = 2;
+constexpr unsigned MaxRegsPerClass = RegMask::Capacity / 2;
 
 /// Register rule a paired load must satisfy to be fused into one machine
 /// operation (Section 3.1, "dependent register usage").
@@ -45,19 +56,18 @@ class TargetDesc {
   unsigned VolatilePerClass; ///< Registers [0, V) of each class are volatile.
   unsigned MaxParamRegs;     ///< Parameter registers per class.
   PairingRule Pairing;
+  /// Per class (indexed by RegClass): all its registers, the volatile
+  /// ones, the narrow-capable ones, and those with an even class index.
+  RegMask ClassRegs[2], VolatileRegs[2], NarrowRegs[2], EvenRegs[2];
+
+  static unsigned index(RegClass RC) { return static_cast<unsigned>(RC); }
 
 public:
+  /// Fails a pdgc_check (in every build) when a class exceeds
+  /// MaxRegsPerClass registers: no RegMask could hold the file.
   TargetDesc(std::string NameIn, unsigned GPRsIn, unsigned FPRsIn,
              unsigned VolatilePerClassIn, unsigned MaxParamRegsIn,
-             PairingRule PairingIn)
-      : Name(std::move(NameIn)), GPRs(GPRsIn), FPRs(FPRsIn),
-        VolatilePerClass(VolatilePerClassIn), MaxParamRegs(MaxParamRegsIn),
-        Pairing(PairingIn) {
-    assert(VolatilePerClass <= GPRs && VolatilePerClass <= FPRs &&
-           "volatile partition exceeds class size");
-    assert(MaxParamRegs <= VolatilePerClass &&
-           "parameter registers must be volatile");
-  }
+             PairingRule PairingIn);
 
   const std::string &name() const { return Name; }
 
@@ -81,6 +91,9 @@ public:
     return R < GPRs ? R : R - GPRs;
   }
 
+  /// Registers of class \p RC.
+  RegMask classMask(RegClass RC) const { return ClassRegs[index(RC)]; }
+
   /// Returns the register of \p R's class with class index \p Idx, or -1 if
   /// \p Idx is out of range. Used by sequential-preference lookahead.
   int regAtClassIndex(RegClass RC, int Idx) const {
@@ -95,6 +108,12 @@ public:
   /// save.
   bool isVolatile(PhysReg R) const {
     return classIndex(R) < VolatilePerClass;
+  }
+
+  /// Volatile and non-volatile registers of class \p RC.
+  RegMask volatileMask(RegClass RC) const { return VolatileRegs[index(RC)]; }
+  RegMask nonVolatileMask(RegClass RC) const {
+    return ClassRegs[index(RC)] & ~VolatileRegs[index(RC)];
   }
 
   unsigned numVolatile(RegClass RC) const {
@@ -134,6 +153,9 @@ public:
     return classIndex(R) < numNarrowRegs(regClass(R));
   }
 
+  /// Narrow-capable registers of class \p RC.
+  RegMask narrowMask(RegClass RC) const { return NarrowRegs[index(RC)]; }
+
   /// Returns true when a paired load writing \p First then \p Second can be
   /// fused into one machine operation.
   bool pairFuses(PhysReg First, PhysReg Second) const {
@@ -149,6 +171,42 @@ public:
     pdgc_unreachable("unknown pairing rule");
   }
 
+  /// Registers that can be the *second* of a pair whose first is \p First:
+  /// every S with pairFuses(First, S).
+  RegMask pairAfter(PhysReg First) const {
+    const RegClass RC = regClass(First);
+    const unsigned Idx = classIndex(First);
+    switch (Pairing) {
+    case PairingRule::Adjacent:
+      return Idx + 1 < numRegs(RC) ? RegMask::single(First + 1) : RegMask();
+    case PairingRule::OddEven:
+      return oppositeParity(RC, Idx);
+    }
+    pdgc_unreachable("unknown pairing rule");
+  }
+
+  /// Registers that can be the *first* of a pair whose second is \p Second:
+  /// every F with pairFuses(F, Second).
+  RegMask pairBefore(PhysReg Second) const {
+    const RegClass RC = regClass(Second);
+    const unsigned Idx = classIndex(Second);
+    switch (Pairing) {
+    case PairingRule::Adjacent:
+      return Idx > 0 ? RegMask::single(Second - 1) : RegMask();
+    case PairingRule::OddEven:
+      return oppositeParity(RC, Idx);
+    }
+    pdgc_unreachable("unknown pairing rule");
+  }
+
+private:
+  /// Registers of \p RC whose class index has the other parity than \p Idx.
+  RegMask oppositeParity(RegClass RC, unsigned Idx) const {
+    const RegMask Even = EvenRegs[index(RC)];
+    return (Idx & 1) ? Even : ClassRegs[index(RC)] & ~Even;
+  }
+
+public:
   /// Printable name: r0..rN for GPRs, f0..fN for FPRs.
   std::string regName(PhysReg R) const {
     return (regClass(R) == RegClass::GPR ? "r" : "f") +

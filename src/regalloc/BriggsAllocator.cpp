@@ -62,7 +62,7 @@ RoundResult BriggsAllocator::allocateRound(AllocContext &Ctx) {
   std::vector<unsigned> ActualSpills;
   for (unsigned I = SR.Stack.size(); I-- > 0;) {
     unsigned Node = SR.Stack[I];
-    BitVector Avail = SS.availableFor(Node);
+    RegMask Avail = SS.availableFor(Node);
     int Color = pickAvailable(Avail, Ctx.Target, NonVolatileFirst);
     if (Color < 0) {
       assert(Kind != Variant::Chaitin &&

@@ -19,20 +19,6 @@
 
 using namespace pdgc;
 
-namespace {
-
-/// Picks the lowest-numbered available register of the requested
-/// volatility, or -1.
-int pickInPartition(const TargetDesc &Target, const BitVector &Avail,
-                    bool WantVolatile) {
-  for (unsigned R : Avail.setBits())
-    if (Target.isVolatile(static_cast<PhysReg>(R)) == WantVolatile)
-      return static_cast<int>(R);
-  return -1;
-}
-
-} // namespace
-
 RoundResult CallCostAllocator::allocateRound(AllocContext &Ctx) {
   const unsigned N = Ctx.F.numVRegs();
   RoundResult RR = RoundResult::make(N);
@@ -125,11 +111,13 @@ RoundResult CallCostAllocator::allocateRound(AllocContext &Ctx) {
       ActiveSpills.push_back(Node);
       continue;
     }
-    BitVector Avail = SS.availableFor(Node);
+    // The lowest available register of the wanted volatility, else the
+    // lowest of the other.
+    RegMask Avail = SS.availableFor(Node);
+    RegMask Volatile = Avail & Ctx.Target.volatileMask(Ctx.IG.regClass(Node));
     bool WantVolatile = ForcedVolatile[Node] || BV >= BN;
-    int Color = pickInPartition(Ctx.Target, Avail, WantVolatile);
-    if (Color < 0)
-      Color = pickInPartition(Ctx.Target, Avail, !WantVolatile);
+    RegMask Wanted = WantVolatile ? Volatile : Avail & ~Volatile;
+    int Color = (Wanted.any() ? Wanted : Avail).findFirst();
     assert(Color >= 0 && "Chaitin-stacked node must be colorable");
     SS.setColor(Node, Color);
   }

@@ -69,7 +69,7 @@ OptimisticCoalescingAllocator::allocateRound(AllocContext &Ctx) {
   // tolerate.
   auto AvailForClass = [&](const std::vector<unsigned> &Prims) {
     assert(!Prims.empty() && "empty coalescing class");
-    BitVector Avail = SS.availableFor(Prims.front());
+    RegMask Avail = SS.availableFor(Prims.front());
     for (unsigned I = 1, E = Prims.size(); I != E; ++I)
       Avail &= SS.availableFor(Prims[I]);
     return Avail;
@@ -99,7 +99,7 @@ OptimisticCoalescingAllocator::allocateRound(AllocContext &Ctx) {
     }
 
     const std::vector<unsigned> &Prims = Members[Node];
-    BitVector Avail = AvailForClass(Prims);
+    RegMask Avail = AvailForClass(Prims);
     int Color = pickAvailable(Avail, Ctx.Target, NonVolatileFirst);
     if (Color >= 0) {
       for (unsigned P : Prims)

@@ -11,14 +11,20 @@
 /// (coalesced or pristine), so both the ordinary allocators and the
 /// undo-coalescing path of optimistic coalescing reuse it.
 ///
+/// Each node keeps a forbidden mask, the colors of its colored neighbors,
+/// which setColor() extends as colors are decided. availableFor() is then
+/// one mask operation instead of a walk over the node's neighbors. A color,
+/// once set, never changes, which is what lets the masks only grow.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PDGC_REGALLOC_SELECTSTATE_H
 #define PDGC_REGALLOC_SELECTSTATE_H
 
 #include "analysis/InterferenceGraph.h"
+#include "machine/RegMask.h"
 #include "machine/TargetDesc.h"
-#include "support/BitVector.h"
+#include "support/Debug.h"
 
 namespace pdgc {
 
@@ -26,43 +32,44 @@ namespace pdgc {
 class SelectState {
   const InterferenceGraph &IG;
   const TargetDesc &Target;
-  std::vector<int> Colors; ///< Per node id; -1 = uncolored.
+  std::vector<int> Colors;         ///< Per node id; -1 = uncolored.
+  std::vector<RegMask> Forbidden;  ///< Per node id: neighbors' colors.
 
 public:
   /// Initializes with every precolored node already holding its color.
   SelectState(const InterferenceGraph &IGIn, const TargetDesc &TargetIn)
-      : IG(IGIn), Target(TargetIn), Colors(IGIn.numNodes(), -1) {
+      : IG(IGIn), Target(TargetIn), Colors(IGIn.numNodes(), -1),
+        Forbidden(IGIn.numNodes()) {
     for (unsigned N = 0, E = IG.numNodes(); N != E; ++N)
       if (IG.isPrecolored(N))
-        Colors[N] = IG.precolor(N);
+        setColor(N, IG.precolor(N));
   }
 
   int color(unsigned N) const { return Colors[N]; }
   bool hasColor(unsigned N) const { return Colors[N] >= 0; }
 
+  /// Gives node \p N color \p C. Setting a node's current color again is
+  /// allowed; a different color fails a pdgc_check in every build, since
+  /// the neighbors' forbidden masks cannot take the old color back.
   void setColor(unsigned N, int C) {
     assert(C >= 0 && static_cast<unsigned>(C) < Target.numRegs() &&
            "color out of range");
     assert(Target.regClass(static_cast<PhysReg>(C)) == IG.regClass(N) &&
            "color from the wrong register class");
+    pdgc_check(Colors[N] < 0 || Colors[N] == C,
+               "select re-colored a node with a different register");
     Colors[N] = C;
+    const RegMask Bit = RegMask::single(static_cast<unsigned>(C));
+    for (unsigned M : IG.neighbors(N))
+      Forbidden[M] |= Bit;
   }
 
   const std::vector<int> &colors() const { return Colors; }
 
-  /// Returns the set of physical registers (as a bit vector over register
-  /// ids) that node \p N could take: the registers of N's class minus the
+  /// Registers node \p N could take: the registers of N's class minus the
   /// colors of N's already-colored neighbors in the graph.
-  BitVector availableFor(unsigned N) const {
-    BitVector Avail(Target.numRegs());
-    RegClass RC = IG.regClass(N);
-    PhysReg First = Target.firstReg(RC);
-    for (unsigned I = 0, E = Target.numRegs(RC); I != E; ++I)
-      Avail.set(First + I);
-    for (unsigned M : IG.neighbors(N))
-      if (Colors[M] >= 0)
-        Avail.reset(static_cast<unsigned>(Colors[M]));
-    return Avail;
+  RegMask availableFor(unsigned N) const {
+    return Target.classMask(IG.regClass(N)) & ~Forbidden[N];
   }
 
   /// Returns the lowest-numbered available register for \p N, or -1.
@@ -71,18 +78,23 @@ public:
   }
 };
 
-/// Picks a register from \p Avail: the lowest-numbered one, or — with
-/// \p NonVolatileFirst — the lowest non-volatile one when any is free (the
-/// "simple heuristic to use non-volatile registers first, then volatile"
-/// the paper gives preference-unaware allocators in Section 6.2). Returns
-/// -1 when \p Avail is empty.
-inline int pickAvailable(const BitVector &Avail, const TargetDesc &Target,
+/// Picks a register from \p Avail, a set within one register class: the
+/// lowest-numbered one, or — with \p NonVolatileFirst — the lowest
+/// non-volatile one when any is free (the "simple heuristic to use
+/// non-volatile registers first, then volatile" the paper gives
+/// preference-unaware allocators in Section 6.2). Returns -1 when \p Avail
+/// is empty.
+inline int pickAvailable(RegMask Avail, const TargetDesc &Target,
                          bool NonVolatileFirst) {
-  if (NonVolatileFirst)
-    for (unsigned R : Avail.setBits())
-      if (!Target.isVolatile(static_cast<PhysReg>(R)))
-        return static_cast<int>(R);
-  return Avail.findFirst();
+  const int First = Avail.findFirst();
+  if (NonVolatileFirst && First >= 0) {
+    const RegMask NonVolatile =
+        Avail & Target.nonVolatileMask(
+                    Target.regClass(static_cast<PhysReg>(First)));
+    if (NonVolatile.any())
+      return NonVolatile.findFirst();
+  }
+  return First;
 }
 
 } // namespace pdgc

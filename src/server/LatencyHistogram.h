@@ -47,12 +47,6 @@ public:
     return Count.load(std::memory_order_relaxed);
   }
 
-  /// Mean in microseconds (0 with no samples).
-  std::uint64_t meanMicros() const {
-    std::uint64_t N = count();
-    return N ? SumMicros.load(std::memory_order_relaxed) / N : 0;
-  }
-
   /// Sum of all recorded samples in microseconds (for exposition _sum).
   std::uint64_t sumMicros() const {
     return SumMicros.load(std::memory_order_relaxed);
@@ -67,9 +61,9 @@ public:
   std::uint64_t quantile(double Q) const;
 
   /// Upper bound of the bucket holding the \p P-th percentile sample
-  /// (P in [0, 100]), in microseconds; 0 with no samples. Kept for
-  /// callers that want the conservative bucket ceiling rather than the
-  /// interpolated estimate of quantile().
+  /// (P in [0, 100]), in microseconds; 0 with no samples. The
+  /// conservative bucket ceiling that quantile()'s interpolated estimate
+  /// is tested against.
   std::uint64_t percentileMicros(double P) const;
 
 private:

@@ -26,7 +26,7 @@ SimulatedCost pdgc::simulateCost(const Function &F, const TargetDesc &Target,
     return static_cast<PhysReg>(Assignment[V.id()]);
   };
 
-  BitVector NonVolatileUsed(Target.numRegs());
+  RegMask NonVolatileUsed;
 
   for (unsigned B = 0, E = F.numBlocks(); B != E; ++B) {
     const BasicBlock *BB = F.block(B);
@@ -88,7 +88,7 @@ SimulatedCost pdgc::simulateCost(const Function &F, const TargetDesc &Target,
       case Opcode::Call: {
         // Caller-side save/restore of live-across values sitting in
         // volatile registers.
-        BitVector VolatileLive(Target.numRegs());
+        RegMask VolatileLive;
         for (unsigned L : LiveAfter.setBits()) {
           if (Inst.hasDef() && Inst.def().id() == L)
             continue;

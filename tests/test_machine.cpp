@@ -149,14 +149,24 @@ TEST(TargetDesc, MasksMatchThePerRegisterPredicates) {
                     return T.isNarrowCapable(R);
                   }));
       }
+      // The pairing rule as Section 3.1 states it.
+      auto Fuses = [&](PhysReg F, PhysReg S) {
+        if (T.regClass(F) != T.regClass(S))
+          return false;
+        const unsigned A = T.classIndex(F), B = T.classIndex(S);
+        return Rule == PairingRule::Adjacent ? B == A + 1
+                                             : (A & 1) != (B & 1);
+      };
       for (PhysReg R = 0; R != T.numRegs(); ++R) {
         const RegClass RC = T.regClass(R);
         EXPECT_EQ(T.pairAfter(R), naiveMask(T, RC, [&](PhysReg S) {
-                    return T.pairFuses(R, S);
+                    return Fuses(R, S);
                   })) << R;
         EXPECT_EQ(T.pairBefore(R), naiveMask(T, RC, [&](PhysReg F) {
-                    return T.pairFuses(F, R);
+                    return Fuses(F, R);
                   })) << R;
+        for (PhysReg S = 0; S != T.numRegs(); ++S)
+          EXPECT_EQ(T.pairFuses(R, S), Fuses(R, S)) << R << "," << S;
       }
     }
 }

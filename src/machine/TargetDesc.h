@@ -35,9 +35,9 @@ namespace pdgc {
 /// A physical register id; GPRs occupy [0, numGPRs), FPRs follow.
 using PhysReg = unsigned;
 
-/// Registers per class a target may have. The upper bound is the paper's
-/// largest model (32 per class), which makes the two classes fill one
-/// RegMask word; the tools accept exactly this range for `--regs`.
+/// Registers per class the tools accept for a target (`--regs`, a crash
+/// dossier's `; regs:` header). The upper bound, the paper's largest model,
+/// is also TargetDesc's hard limit: two classes of 32 fill one RegMask.
 constexpr unsigned MinRegsPerClass = 2;
 constexpr unsigned MaxRegsPerClass = RegMask::Capacity / 2;
 

@@ -117,25 +117,6 @@ public:
 
   bool none() const { return !any(); }
 
-  /// Returns the index of the first set bit, or -1 if none.
-  int findFirst() const { return findNext(0); }
-
-  /// Returns the index of the first set bit at or after \p From, or -1.
-  int findNext(unsigned From) const {
-    if (From >= NumBits)
-      return -1;
-    unsigned WordIdx = From / WordBits;
-    Word W = Words[WordIdx] & ~((Word(1) << (From % WordBits)) - 1);
-    while (true) {
-      if (W)
-        return static_cast<int>(WordIdx * WordBits +
-                                std::countr_zero(W));
-      if (++WordIdx >= Words.size())
-        return -1;
-      W = Words[WordIdx];
-    }
-  }
-
   /// Set union; both operands must have the same size.
   BitVector &operator|=(const BitVector &RHS) {
     assert(NumBits == RHS.NumBits && "size mismatch in operator|=");
@@ -171,9 +152,7 @@ public:
   ///
   /// The iterator caches the remaining bits of the current word, so stepping
   /// clears one bit and only touches memory again at word boundaries — and
-  /// whole zero words are skipped without per-bit work. On the sparse live
-  /// sets the interference builder walks, this is markedly cheaper than
-  /// re-running findNext (which re-divides and re-masks) per step.
+  /// whole zero words are skipped without per-bit work.
   class SetBitIterator {
     const Word *Words;
     unsigned NumWords;

@@ -23,7 +23,6 @@ TEST(BitVector, StartsCleared) {
   EXPECT_EQ(BV.count(), 0u);
   EXPECT_TRUE(BV.none());
   EXPECT_FALSE(BV.any());
-  EXPECT_EQ(BV.findFirst(), -1);
 }
 
 TEST(BitVector, SetResetTest) {
@@ -41,17 +40,6 @@ TEST(BitVector, SetResetTest) {
   BV.reset(63);
   EXPECT_FALSE(BV.test(63));
   EXPECT_EQ(BV.count(), 3u);
-}
-
-TEST(BitVector, FindNextCrossesWordBoundaries) {
-  BitVector BV(200);
-  BV.set(5);
-  BV.set(64);
-  BV.set(191);
-  EXPECT_EQ(BV.findFirst(), 5);
-  EXPECT_EQ(BV.findNext(6), 64);
-  EXPECT_EQ(BV.findNext(65), 191);
-  EXPECT_EQ(BV.findNext(192), -1);
 }
 
 TEST(BitVector, SetBitsIterationIsOrdered) {

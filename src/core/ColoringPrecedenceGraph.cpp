@@ -8,6 +8,8 @@
 
 #include "support/Debug.h"
 
+#include <cstring>
+
 using namespace pdgc;
 
 void ColoringPrecedenceGraph::initScratch(Arena &Mem, unsigned N,
@@ -30,10 +32,6 @@ ColoringPrecedenceGraph::build(const InterferenceGraph &IG,
   ColoringPrecedenceGraph G;
   G.initScratch(Mem, N, SR);
 
-  CsrRows<unsigned> SuccR, PredR;
-  SuccR.initEmpty(Mem, N);
-  PredR.initEmpty(Mem, N);
-
   // Working interference graph. Precolored nodes are permanent: they keep
   // contributing to degrees (and thus to readiness) until the end, exactly
   // as they did during simplification.
@@ -49,96 +47,74 @@ ColoringPrecedenceGraph::build(const InterferenceGraph &IG,
 
   // A node is ready once it is of low degree in the working graph; the
   // simplifier's optimistic potential spills were removed while still of
-  // significant degree, so they start non-ready by construction.
+  // significant degree, so they start non-ready by construction. A node
+  // gains at most one successor per neighbor, so rows sized by degree
+  // never relocate.
   char *Ready = Mem.allocateZeroed<char>(N);
+  unsigned *RowCap = Mem.allocateZeroed<unsigned>(N);
   auto K = [&](unsigned Node) { return Target.numRegs(IG.regClass(Node)); };
-  for (unsigned Node : SR.Stack)
+  for (unsigned Node : SR.Stack) {
+    RowCap[Node] = Deg[Node];
     if (Deg[Node] < K(Node))
       Ready[Node] = 1;
+  }
+  CsrRows<unsigned> SuccR;
+  SuccR.init(Mem, N, RowCap, /*Slack=*/0);
+  unsigned *const *Rows = SuccR.rawRows();
+  unsigned *Count = SuccR.rawCounts();
+  unsigned *Seen = G.VisitEpoch; // Shared with later reachability queries.
+  unsigned *Stack = G.DfsStack;
 
-  // Every edge added while popping a node points *at* that node, and the
-  // transitive-reduction erasures below never change the reachability
-  // relation (an erased A -> X is always re-routed A -> Node -> ... -> X).
-  // Two facts follow, and they turn the former per-candidate DFS into two
-  // amortized traversals per pop:
-  //
-  //  * the set of nodes the popped node reaches is invariant for the
-  //    whole pop (its out-edges never change mid-pop), so one forward DFS
-  //    up front answers every "did the new path make this edge
-  //    transitive?" erasure test in O(1);
-  //  * the set of nodes *reaching* the popped node only grows by the
-  //    ancestors of each newly linked source, so marking those by reverse
-  //    DFS — skipping already-marked nodes — answers every "is this edge
-  //    already implied?" test in O(1) at O(V+E) total per pop.
-  //
-  // Both sets are epoch-stamped per pop; the arrays are never cleared.
-  unsigned *ReachesNode = Mem.allocateZeroed<unsigned>(N);
-  unsigned *NodeReaches = Mem.allocateZeroed<unsigned>(N);
-  unsigned *Stack = G.DfsStack; // Build-time use only; queries come later.
-  unsigned PopEpoch = 0;
-
-  // Examine nodes in removal order (the reverse of the coloring stack).
+  // Every edge points from a node still in the working graph at a later
+  // pop to the node popped earlier. So when a node pops, its row is
+  // complete, it lists its targets in pop order, and every row it reaches
+  // is already final: the node's row is reduced once, here, and never
+  // touched again.
   for (unsigned Node : SR.Stack) {
-    ++PopEpoch;
-    ReachesNode[Node] = PopEpoch;
-
-    // Forward sweep: everything Node currently reaches.
-    unsigned Top = 0;
-    NodeReaches[Node] = PopEpoch;
-    Stack[Top++] = Node;
-    while (Top != 0) {
-      const unsigned Cur = Stack[--Top];
-      for (unsigned S : SuccR.row(Cur))
-        if (NodeReaches[S] != PopEpoch) {
-          NodeReaches[S] = PopEpoch;
-          Stack[Top++] = S;
-        }
-    }
-
-    // Remaining non-ready neighbors must be colored before this node.
-    for (unsigned M : IG.neighbors(Node)) {
-      if (Removed[M] || !G.InGraph[M] || Ready[M])
-        continue;
-      // Skip edges that are already implied.
-      if (ReachesNode[M] == PopEpoch)
-        continue;
-      SuccR.push(Mem, M, Node);
-      PredR.push(Mem, Node, M);
-      // Drop edges of M that the new path just made transitive. Both
-      // erases preserve row order (the select queue's tie-breaking
-      // depends on it).
-      for (unsigned I = 0; I < SuccR.size(M);) {
-        unsigned X = SuccR.row(M)[I];
-        if (X != Node && NodeReaches[X] == PopEpoch) {
-          SuccR.eraseAt(M, I);
-          Span<const unsigned> PX = PredR.row(X);
-          unsigned J = 0;
-          while (J != PX.size() && PX[J] != M)
-            ++J;
-          assert(J != PX.size() && "asymmetric CPG edge");
-          PredR.eraseAt(X, J);
+    // Walk the row from the latest-popped target back. A later target
+    // can reach an earlier one but not the reverse, so a target is
+    // transitive exactly when a kept target already reaches it. Kept
+    // targets collect at the row's tail, in row order.
+    unsigned *Row = Rows[Node];
+    const unsigned Len = Count[Node];
+    unsigned Kept = Len;
+    if (Len > 1) {
+      const unsigned Epoch = ++G.Epoch;
+      for (unsigned I = Len; I-- != 0;) {
+        const unsigned X = Row[I];
+        if (Seen[X] == Epoch)
           continue;
+        Row[--Kept] = X;
+        if (I == 0)
+          break; // Nothing earlier is left to test.
+        Seen[X] = Epoch;
+        unsigned Top = 0;
+        Stack[Top++] = X;
+        while (Top != 0) {
+          const unsigned Cur = Stack[--Top];
+          for (unsigned S : SuccR.row(Cur))
+            if (Seen[S] != Epoch) {
+              Seen[S] = Epoch;
+              Stack[Top++] = S;
+            }
         }
-        ++I;
       }
-      // Reverse sweep from M: its ancestors now reach Node too.
-      Top = 0;
-      ReachesNode[M] = PopEpoch;
-      Stack[Top++] = M;
-      while (Top != 0) {
-        const unsigned Cur = Stack[--Top];
-        for (unsigned P : PredR.row(Cur))
-          if (ReachesNode[P] != PopEpoch) {
-            ReachesNode[P] = PopEpoch;
-            Stack[Top++] = P;
-          }
-      }
+      if (Kept != 0)
+        std::memmove(Row, Row + Kept, (Len - Kept) * sizeof(unsigned));
+      Count[Node] = Len - Kept;
     }
-    // Remove from the working graph and update readiness.
+
+    // Remove the node from the working graph: each remaining non-ready
+    // neighbor must be colored before it, and each remaining neighbor
+    // loses one degree.
     Removed[Node] = 1;
     for (unsigned M : IG.neighbors(Node)) {
       if (Removed[M])
         continue;
+      if (G.InGraph[M] && !Ready[M]) {
+        assert(Count[M] < RowCap[M] && "CPG row outgrew its degree");
+        Rows[M][Count[M]++] = Node;
+      }
       assert(Deg[M] > 0 && "degree underflow");
       --Deg[M];
       if (G.InGraph[M] && Deg[M] < K(M))
@@ -148,7 +124,7 @@ ColoringPrecedenceGraph::build(const InterferenceGraph &IG,
 
   // The edge set is settled: pack it for the select phase's iteration.
   G.Succs = CsrArray<unsigned>::compact(Mem, SuccR);
-  G.Preds = CsrArray<unsigned>::compact(Mem, PredR);
+  G.Preds = CsrArray<unsigned>::transpose(Mem, G.Succs);
   return G;
 }
 
@@ -171,22 +147,16 @@ ColoringPrecedenceGraph::linearFromStack(const InterferenceGraph &IG,
   G.initScratch(Mem, N, SR);
 
   // Pop order colors Stack.back() first: chain Stack[i+1] -> Stack[i].
-  // Counts are exact (one successor/predecessor per chain link).
+  // Counts are exact (one successor per chain link).
   unsigned *SuccCount = Mem.allocateZeroed<unsigned>(N);
-  unsigned *PredCount = Mem.allocateZeroed<unsigned>(N);
-  for (unsigned I = 0; I + 1 < SR.Stack.size(); ++I) {
+  for (unsigned I = 0; I + 1 < SR.Stack.size(); ++I)
     ++SuccCount[SR.Stack[I + 1]];
-    ++PredCount[SR.Stack[I]];
-  }
-  CsrRows<unsigned> SuccR, PredR;
+  CsrRows<unsigned> SuccR;
   SuccR.init(Mem, N, SuccCount, /*Slack=*/0);
-  PredR.init(Mem, N, PredCount, /*Slack=*/0);
-  for (unsigned I = 0; I + 1 < SR.Stack.size(); ++I) {
+  for (unsigned I = 0; I + 1 < SR.Stack.size(); ++I)
     SuccR.push(Mem, SR.Stack[I + 1], SR.Stack[I]);
-    PredR.push(Mem, SR.Stack[I], SR.Stack[I + 1]);
-  }
   G.Succs = CsrArray<unsigned>::compact(Mem, SuccR);
-  G.Preds = CsrArray<unsigned>::compact(Mem, PredR);
+  G.Preds = CsrArray<unsigned>::transpose(Mem, G.Succs);
   return G;
 }
 

@@ -17,19 +17,27 @@
 /// the order simplification removed them; when node N is removed from the
 /// working interference graph, any remaining neighbor that is not yet
 /// "ready" (not yet of low degree) must be colored before N, yielding an
-/// edge neighbor -> N. Edges that become transitive are dropped. Nodes the
-/// simplifier pushed as optimistic potential spills start out non-ready.
+/// edge neighbor -> N. Transitive edges are dropped. Nodes the simplifier
+/// pushed as optimistic potential spills start out non-ready.
 ///
-/// An edge A -> B therefore means "A must be colored before B". The
+/// Every edge therefore points from a later pop to an earlier one, so a
+/// node's row is complete when the node itself pops, and every row it
+/// reaches is already final. The builder links each neighbor with no
+/// test and reduces a row once, at its node's pop: walking the row from
+/// the latest-popped target back, it drops a target that a kept target
+/// reaches. That is the unique transitive reduction, in push order, which
+/// the select queue's tie-breaking depends on.
+///
+/// An edge A -> B means "A must be colored before B". The
 /// conventional top/bottom nodes of the paper are kept implicit: the
 /// successors of `top` are exactly the nodes with no incoming edge.
 ///
 /// Storage: the builder works on mutable arena rows (support/CsrGraph.h)
-/// — its scratch (Removed/Deg/Ready/VisitEpoch/DfsStack) is carved from
-/// the same arena instead of fresh heap vectors — and the settled graph is
-/// compacted into immutable packed CSR arrays that the select phase
-/// iterates. Reachability queries, during construction and afterwards,
-/// share one epoch-marked DFS over whichever row form is current.
+/// sized by interference degree, with its scratch carved from the same
+/// arena; the settled successor rows are compacted into immutable packed
+/// CSR arrays that the select phase iterates, and the predecessor rows
+/// are their transpose. The reduction and later reachability queries
+/// share one epoch-marked DFS scratch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,31 +73,6 @@ class ColoringPrecedenceGraph {
   /// Private storage for the compat overloads without an arena.
   std::unique_ptr<Arena> OwnedMem;
 
-  /// One DFS for build-time and post-build reachability: \p SuccOf maps a
-  /// node to its current successor row (mutable rows while building, the
-  /// compacted arrays afterwards).
-  template <typename SuccOfFn>
-  bool reachableImpl(unsigned From, unsigned To, SuccOfFn SuccOf) const {
-    if (From == To)
-      return true;
-    ++Epoch;
-    unsigned Top = 0;
-    DfsStack[Top++] = From;
-    VisitEpoch[From] = Epoch;
-    while (Top != 0) {
-      const unsigned Cur = DfsStack[--Top];
-      for (unsigned S : SuccOf(Cur)) {
-        if (S == To)
-          return true;
-        if (VisitEpoch[S] != Epoch) {
-          VisitEpoch[S] = Epoch;
-          DfsStack[Top++] = S;
-        }
-      }
-    }
-    return false;
-  }
-
   /// Carves the InGraph flags and the DFS scratch, shared by both
   /// construction paths.
   void initScratch(Arena &Mem, unsigned N, const SimplifyResult &SR);
@@ -99,8 +82,24 @@ public:
   /// a node reaches itself). Queries share the epoch-marked DFS scratch
   /// carved at build time, so repeated calls allocate nothing.
   bool reachable(unsigned From, unsigned To) const {
-    return reachableImpl(From, To,
-                         [this](unsigned N) { return Succs.row(N); });
+    if (From == To)
+      return true;
+    ++Epoch;
+    unsigned Top = 0;
+    DfsStack[Top++] = From;
+    VisitEpoch[From] = Epoch;
+    while (Top != 0) {
+      const unsigned Cur = DfsStack[--Top];
+      for (unsigned S : Succs.row(Cur)) {
+        if (S == To)
+          return true;
+        if (VisitEpoch[S] != Epoch) {
+          VisitEpoch[S] = Epoch;
+          DfsStack[Top++] = S;
+        }
+      }
+    }
+    return false;
   }
 
   /// Builds the CPG from \p IG and the stack produced by \p SR, carving

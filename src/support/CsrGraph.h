@@ -12,15 +12,16 @@
 ///    classic two-pass count-then-fill construction, plus bounded
 ///    mutability: O(1) append with per-node overflow slack, relocation to
 ///    a fresh arena region on overflow (the abandoned region dies at the
-///    next arena reset), order-preserving erase, and swap-pop. This is
-///    what the interference adjacency and the CPG builder use — graphs
-///    that are mostly built once but take coalescing-time edge inserts
-///    and transitive-reduction deletes.
+///    next arena reset), and swap-pop. This is what the interference
+///    adjacency and the CPG builder use — graphs that are mostly built
+///    once but take coalescing-time edge inserts and in-place row
+///    compaction.
 ///
 ///  * `CsrArray<T>` — the immutable end state: one offset array (N+1
 ///    entries) plus one packed edge array, compacted from `CsrRows` after
-///    construction settles. O(degree) contiguous row spans with no
-///    per-node pointer chasing; this is what the select phase iterates.
+///    construction settles (or transposed from another `CsrArray`).
+///    O(degree) contiguous row spans with no per-node pointer chasing;
+///    this is what the select phase iterates.
 ///
 /// Everything is trivially-destructible-friendly: rows never run element
 /// destructors, so T must be trivially destructible (checked below) —
@@ -39,9 +40,8 @@
 
 namespace pdgc {
 
-/// Mutable per-node rows over arena storage. Build with init() (counted
-/// capacities, packed slab) or initEmpty() (row regions allocated lazily
-/// on first push). Not thread-safe; one owner per arena.
+/// Mutable per-node rows over arena storage, built with init() (counted
+/// capacities, packed slab). Not thread-safe; one owner per arena.
 template <typename T> class CsrRows {
   static_assert(std::is_trivially_destructible_v<T>,
                 "CsrRows never runs element destructors");
@@ -51,7 +51,7 @@ template <typename T> class CsrRows {
   unsigned *Caps = nullptr;   ///< Region capacity per node.
   unsigned N = 0;
 
-  /// First region size for rows that start empty.
+  /// First region size for a row that overflows a zero capacity.
   static constexpr unsigned LazyInitialCap = 4;
 
 public:
@@ -78,16 +78,6 @@ public:
       Rows[I] = Slab;
       Slab += Caps[I];
     }
-  }
-
-  /// All rows empty with no storage; regions are carved on first push.
-  /// For builders whose final counts are unknowable up front (the CPG's
-  /// transitive-reduction loop).
-  void initEmpty(Arena &A, unsigned NumNodes) {
-    N = NumNodes;
-    Rows = A.allocateZeroed<T *>(N);
-    Counts = A.allocateZeroed<unsigned>(N);
-    Caps = A.allocateZeroed<unsigned>(N);
   }
 
   unsigned size(unsigned Node) const {
@@ -132,16 +122,6 @@ private:
 
 public:
 
-  /// Removes entry \p Idx preserving the order of the remainder (the CPG
-  /// needs stable successor order for deterministic select tie-breaks).
-  void eraseAt(unsigned Node, unsigned Idx) {
-    assert(Node < N && Idx < Counts[Node] && "CsrRows erase out of range");
-    T *R = Rows[Node];
-    std::memmove(static_cast<void *>(R + Idx), R + Idx + 1,
-                 (Counts[Node] - Idx - 1) * sizeof(T));
-    --Counts[Node];
-  }
-
   /// Removes entry \p Idx by swapping the last entry into its place.
   void swapPop(unsigned Node, unsigned Idx) {
     assert(Node < N && Idx < Counts[Node] && "CsrRows swapPop out of range");
@@ -171,7 +151,7 @@ public:
   /// interference rebuild ~40%. Callers own the invariants: never write
   /// past rawCaps()[I], keep rawCounts() in step with the entries
   /// written, and fall back to push() when a row is full. Invalidated by
-  /// init()/initEmpty().
+  /// init().
   /// @{
   T *const *rawRows() { return Rows; }
   unsigned *rawCounts() { return Counts; }
@@ -213,6 +193,30 @@ public:
     G.Offsets = Offs;
     G.Edges = Packed;
     return G;
+  }
+
+  /// The reverse of \p G: row B lists every A whose row in \p G holds
+  /// B, in ascending A. Rows must hold node ids below G.numNodes().
+  static CsrArray transpose(Arena &A, const CsrArray &G) {
+    static_assert(std::is_same_v<T, unsigned>, "transpose needs node ids");
+    CsrArray R;
+    R.N = G.N;
+    unsigned *Offs = A.allocateZeroed<unsigned>(R.N + 1);
+    const unsigned Total = G.numEdges();
+    for (unsigned E = 0; E != Total; ++E)
+      ++Offs[G.Edges[E] + 1];
+    for (unsigned I = 0; I != R.N; ++I)
+      Offs[I + 1] += Offs[I];
+    unsigned *Fill = A.allocateArray<unsigned>(R.N);
+    if (R.N != 0)
+      std::memcpy(Fill, Offs, R.N * sizeof(unsigned));
+    unsigned *Packed = A.allocateArray<unsigned>(Total);
+    for (unsigned Src = 0; Src != G.N; ++Src)
+      for (unsigned Dst : G.row(Src))
+        Packed[Fill[Dst]++] = Src;
+    R.Offsets = Offs;
+    R.Edges = Packed;
+    return R;
   }
 
   unsigned numNodes() const { return N; }

@@ -165,7 +165,8 @@ TEST(CsrRowsStorage, PushBeyondSlackRelocatesAndPreservesContents) {
 TEST(CsrRowsStorage, LazyInitRowsStartEmptyAndGrow) {
   Arena A;
   CsrRows<unsigned> R;
-  R.initEmpty(A, 4);
+  const unsigned Zero[4] = {};
+  R.init(A, 4, Zero, /*Slack=*/0);
   for (unsigned N = 0; N != 4; ++N)
     EXPECT_EQ(R.size(N), 0u);
   R.push(A, 3, 99);
@@ -174,24 +175,11 @@ TEST(CsrRowsStorage, LazyInitRowsStartEmptyAndGrow) {
   EXPECT_EQ(R.size(0), 0u);
 }
 
-TEST(CsrRowsStorage, EraseAtPreservesOrder) {
-  Arena A;
-  CsrRows<unsigned> R;
-  R.initEmpty(A, 1);
-  for (unsigned V : {1u, 2u, 3u, 4u, 5u})
-    R.push(A, 0, V);
-  R.eraseAt(0, 1); // Drop the 2.
-  ASSERT_EQ(R.size(0), 4u);
-  EXPECT_EQ(R.row(0)[0], 1u);
-  EXPECT_EQ(R.row(0)[1], 3u);
-  EXPECT_EQ(R.row(0)[2], 4u);
-  EXPECT_EQ(R.row(0)[3], 5u);
-}
-
 TEST(CsrRowsStorage, SwapPopMovesLastIntoGap) {
   Arena A;
   CsrRows<unsigned> R;
-  R.initEmpty(A, 1);
+  const unsigned Zero[1] = {};
+  R.init(A, 1, Zero, /*Slack=*/0);
   for (unsigned V : {1u, 2u, 3u, 4u})
     R.push(A, 0, V);
   R.swapPop(0, 0);
@@ -204,7 +192,8 @@ TEST(CsrRowsStorage, SwapPopMovesLastIntoGap) {
 TEST(CsrRowsStorage, MutableRowWritesThrough) {
   Arena A;
   CsrRows<unsigned> R;
-  R.initEmpty(A, 1);
+  const unsigned Zero[1] = {};
+  R.init(A, 1, Zero, /*Slack=*/0);
   R.push(A, 0, 7);
   R.mutableRow(0)[0] = 9;
   EXPECT_EQ(R.row(0)[0], 9u);
@@ -213,7 +202,8 @@ TEST(CsrRowsStorage, MutableRowWritesThrough) {
 TEST(CsrArrayStorage, CompactMatchesRowsExactly) {
   Arena A;
   CsrRows<unsigned> R;
-  R.initEmpty(A, 5);
+  const unsigned Zero[5] = {};
+  R.init(A, 5, Zero, /*Slack=*/0);
   // Irregular shape incl. trailing empty row.
   R.push(A, 0, 3);
   R.push(A, 2, 1);
@@ -232,10 +222,33 @@ TEST(CsrArrayStorage, CompactMatchesRowsExactly) {
   }
 }
 
+TEST(CsrArrayStorage, TransposeListsSourcesInAscendingOrder) {
+  Arena A;
+  CsrRows<unsigned> R;
+  const unsigned Counts[] = {2, 0, 3, 1};
+  R.init(A, 4, Counts, /*Slack=*/0);
+  R.push(A, 0, 3);
+  R.push(A, 0, 1);
+  R.push(A, 2, 1);
+  R.push(A, 2, 0);
+  R.push(A, 2, 3);
+  R.push(A, 3, 1);
+  CsrArray<unsigned> G = CsrArray<unsigned>::compact(A, R);
+  CsrArray<unsigned> T = CsrArray<unsigned>::transpose(A, G);
+  ASSERT_EQ(T.numNodes(), 4u);
+  EXPECT_EQ(T.numEdges(), G.numEdges());
+  const std::vector<std::vector<unsigned>> Want = {{2}, {0, 2, 3}, {}, {0, 2}};
+  for (unsigned N = 0; N != 4; ++N) {
+    Span<const unsigned> Got = T.row(N);
+    EXPECT_EQ(std::vector<unsigned>(Got.begin(), Got.end()), Want[N])
+        << "node " << N;
+  }
+}
+
 TEST(CsrArrayStorage, EmptyGraphCompacts) {
   Arena A;
   CsrRows<unsigned> R;
-  R.initEmpty(A, 0);
+  R.init(A, 0, nullptr, /*Slack=*/0);
   CsrArray<unsigned> G = CsrArray<unsigned>::compact(A, R);
   EXPECT_EQ(G.numNodes(), 0u);
   EXPECT_EQ(G.numEdges(), 0u);

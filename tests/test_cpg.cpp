@@ -6,7 +6,8 @@
 // sweep: for generated functions at every pressure model, the CPG must be
 // an acyclic partial order whose every linearization preserves the
 // colorability established by simplification (the defining claim of
-// Section 5.2).
+// Section 5.2), and each row must equal a slowly built reference: the
+// unreduced relation minus its transitive edges, in push order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -151,10 +152,77 @@ TEST(Cpg, RootsAreExactlyPredecessorFreeNodes) {
     }
 }
 
+/// The CPG as Section 5.2 defines it, built the slow way: the unreduced
+/// relation (at each pop, an edge from every non-ready neighbor still in
+/// the working graph), with each edge M -> X dropped when another path
+/// M -> ... -> X implies it. Rows keep push order.
+std::vector<std::vector<unsigned>>
+referenceSuccessors(const InterferenceGraph &IG, const TargetDesc &Target,
+                    const SimplifyResult &SR) {
+  const unsigned N = IG.numNodes();
+  std::vector<char> InGraph(N, 0), Removed(N, 0), Ready(N, 0);
+  std::vector<unsigned> Deg(N, 0);
+  for (unsigned Node : SR.Stack)
+    InGraph[Node] = 1;
+  for (unsigned Node = 0; Node != N; ++Node) {
+    if (IG.isMerged(Node))
+      Removed[Node] = 1;
+    else
+      Deg[Node] = IG.degree(Node);
+  }
+  auto K = [&](unsigned Node) { return Target.numRegs(IG.regClass(Node)); };
+  for (unsigned Node : SR.Stack)
+    Ready[Node] = Deg[Node] < K(Node);
+
+  std::vector<std::vector<unsigned>> Unreduced(N);
+  for (unsigned Node : SR.Stack) {
+    for (unsigned M : IG.neighbors(Node))
+      if (!Removed[M] && InGraph[M] && !Ready[M])
+        Unreduced[M].push_back(Node);
+    Removed[Node] = 1;
+    for (unsigned M : IG.neighbors(Node))
+      if (!Removed[M] && --Deg[M] < K(M) && InGraph[M])
+        Ready[M] = 1;
+  }
+
+  auto Reaches = [&](unsigned From, unsigned To) {
+    std::vector<char> Seen(N, 0);
+    std::vector<unsigned> Work{From};
+    while (!Work.empty()) {
+      const unsigned Cur = Work.back();
+      Work.pop_back();
+      if (Cur == To)
+        return true;
+      for (unsigned S : Unreduced[Cur])
+        if (!Seen[S]) {
+          Seen[S] = 1;
+          Work.push_back(S);
+        }
+    }
+    return false;
+  };
+  std::vector<std::vector<unsigned>> Reduced(N);
+  for (unsigned M = 0; M != N; ++M)
+    for (unsigned X : Unreduced[M]) {
+      bool Implied = false;
+      for (unsigned Y : Unreduced[M])
+        Implied = Implied || (Y != X && Reaches(Y, X));
+      if (!Implied)
+        Reduced[M].push_back(X);
+    }
+  return Reduced;
+}
+
 struct CpgPropertyCase {
   std::uint64_t Seed;
   unsigned Regs;
 };
+
+/// Names the parameter in test listings ("s500/r16") instead of a byte
+/// dump that changes from build to build.
+void PrintTo(const CpgPropertyCase &C, std::ostream *OS) {
+  *OS << "s" << C.Seed << "/r" << C.Regs;
+}
 
 class CpgProperty : public ::testing::TestWithParam<CpgPropertyCase> {};
 
@@ -180,6 +248,24 @@ TEST_P(CpgProperty, PartialOrderPreservesColorability) {
     OnStack[N] = 1;
   for (unsigned N = 0; N != A.IG->numNodes(); ++N)
     EXPECT_EQ(CPG.contains(N), OnStack[N] != 0) << N;
+
+  // Every row matches the reference, entries and order (select's queue
+  // breaks ties by successor order), and the predecessor rows are its
+  // transpose, sources ascending.
+  const std::vector<std::vector<unsigned>> Want =
+      referenceSuccessors(*A.IG, Target, SR);
+  std::vector<std::vector<unsigned>> WantPreds(A.IG->numNodes());
+  for (unsigned N = 0; N != A.IG->numNodes(); ++N)
+    for (unsigned S : Want[N])
+      WantPreds[S].push_back(N);
+  for (unsigned N = 0; N != A.IG->numNodes(); ++N) {
+    Span<const unsigned> Succs = CPG.successors(N);
+    EXPECT_EQ(std::vector<unsigned>(Succs.begin(), Succs.end()), Want[N])
+        << "successors of " << N;
+    Span<const unsigned> Preds = CPG.predecessors(N);
+    EXPECT_EQ(std::vector<unsigned>(Preds.begin(), Preds.end()), WantPreds[N])
+        << "predecessors of " << N;
+  }
 }
 
 std::vector<CpgPropertyCase> cpgCases() {

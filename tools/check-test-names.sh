@@ -20,7 +20,7 @@
 
 set -u
 
-PENDING="Matrix/AllAllocators Sweep/CpgProperty"
+PENDING="Matrix/AllAllocators"
 
 status=0
 for bin in "$@"; do

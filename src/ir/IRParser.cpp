@@ -3,17 +3,27 @@
 // Part of the PDGC project.
 //
 //===----------------------------------------------------------------------===//
+//
+// One lexer over std::string_views into the input buffer: lines, tokens
+// and names are views, and a diagnostic string is built only on failure.
+// A label scan runs first, so block ids follow label order and a label
+// error is reported ahead of any instruction error; the second scan
+// parses the parameters and the instructions.
+//
+//===----------------------------------------------------------------------===//
 
 #include "ir/IRParser.h"
 
 #include "support/Debug.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <map>
-#include <sstream>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 using namespace pdgc;
@@ -32,14 +42,64 @@ struct Operand {
 /// multi-gigabyte register table via `v99999999999`.
 constexpr unsigned MaxVRegId = 1u << 20;
 
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
+/// The blanks the printer's layout can leave around a line or a token:
+/// spaces, tabs and a Windows line end's carriage return.
+bool isBlank(char C) { return C == ' ' || C == '\t' || C == '\r'; }
+
+/// Whitespace in the C locale: what separates successor and predecessor
+/// names.
+bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+std::string_view trim(std::string_view S) {
+  while (!S.empty() && isBlank(S.front()))
+    S.remove_prefix(1);
+  while (!S.empty() && isBlank(S.back()))
+    S.remove_suffix(1);
+  return S;
+}
+
+/// True for an indented line whose first character cannot start a func
+/// header: the lexer takes it as an instruction line without the checks
+/// a header or label line needs, which it would pass anyway.
+bool isInstructionLine(std::string_view Raw) {
+  return Raw.size() > 2 && Raw.starts_with("  ") && !isBlank(Raw[2]) &&
+         Raw[2] != 'f';
+}
+
+/// Takes the next line off \p Rest: up to the next '\n', with no empty
+/// line after a final '\n'.
+bool nextLine(std::string_view &Rest, std::string_view &Line) {
+  if (Rest.empty())
+    return false;
+  const size_t End = std::min(Rest.find('\n'), Rest.size());
+  Line = Rest.substr(0, End);
+  Rest.remove_prefix(std::min(End + 1, Rest.size()));
+  return true;
+}
+
+/// Takes the next whitespace-separated word off \p Rest.
+bool nextWord(std::string_view &Rest, std::string_view &Word) {
+  size_t Start = 0;
+  while (Start != Rest.size() && isSpace(Rest[Start]))
+    ++Start;
+  size_t End = Start;
+  while (End != Rest.size() && !isSpace(Rest[End]))
+    ++End;
+  Word = Rest.substr(Start, End - Start);
+  Rest.remove_prefix(End);
+  return !Word.empty();
+}
+
 /// Parses the decimal digits starting at \p Pos into \p Out without ever
 /// throwing; advances \p Pos past them. Fails on no digits or overflow of
 /// \p Max.
-bool parseDigits(const std::string &S, size_t &Pos, std::uint64_t Max,
+bool parseDigits(std::string_view S, size_t &Pos, std::uint64_t Max,
                  std::uint64_t &Out) {
   size_t Start = Pos;
   std::uint64_t V = 0;
-  while (Pos < S.size() && std::isdigit(static_cast<unsigned char>(S[Pos]))) {
+  while (Pos < S.size() && isDigit(S[Pos])) {
     unsigned D = static_cast<unsigned>(S[Pos] - '0');
     if (V > (Max - D) / 10)
       return false;
@@ -52,34 +112,74 @@ bool parseDigits(const std::string &S, size_t &Pos, std::uint64_t Max,
   return true;
 }
 
+/// The first occurrence of \p Pat in \p S. Candidates come from memchr
+/// on the pattern's character at \p Key, which is rare in the IR, so a
+/// line costs one vectorised scan instead of a comparison at every blank.
+size_t findByRareChar(std::string_view S, std::string_view Pat, size_t Key) {
+  for (size_t From = Key; From < S.size();) {
+    const void *Hit = std::memchr(S.data() + From, Pat[Key], S.size() - From);
+    if (!Hit)
+      break;
+    const size_t Start = static_cast<const char *>(Hit) - S.data() - Key;
+    if (S.substr(Start, Pat.size()) == Pat)
+      return Start;
+    From = Start + Key + 1;
+  }
+  return std::string_view::npos;
+}
+
+/// The opcode a mnemonic names, from a table built once out of
+/// opcodeName(), so the printer and the parser spell each mnemonic alike.
+std::optional<Opcode> opcodeByName(std::string_view Name) {
+  static const std::vector<std::pair<std::string_view, Opcode>> Table = [] {
+    std::vector<std::pair<std::string_view, Opcode>> T;
+    // SpillStore is the last enumerator.
+    for (unsigned I = 0; I <= static_cast<unsigned>(Opcode::SpillStore); ++I)
+      T.emplace_back(opcodeName(static_cast<Opcode>(I)),
+                     static_cast<Opcode>(I));
+    return T;
+  }();
+  for (const auto &[Key, Op] : Table) // The first letters settle most.
+    if (Key.size() == Name.size() && Key[0] == Name[0] && Key == Name)
+      return Op;
+  return std::nullopt;
+}
+
 class Parser {
-  std::vector<std::string> Lines;
+  std::string_view Text;
   std::unique_ptr<Function> F;
-  std::map<std::string, BasicBlock *> BlocksByName;
-  /// Successor names per block id, filled when terminators are parsed.
-  /// Keyed by id so edge creation order is deterministic.
-  std::map<unsigned, std::vector<std::string>> SuccNames;
-  /// Predecessor names per block id from the header comments, used to
-  /// restore the phi-relevant ordering.
-  std::map<unsigned, std::vector<std::string>> PredNames;
+  std::unordered_map<std::string_view, BasicBlock *> BlocksByName;
+  /// Per block id: the successor names of its br/condbr (one or two; the
+  /// count is zero for a block without one), the text after its label's
+  /// `preds:`, which restores the phi-relevant ordering, and the number
+  /// of indented lines under the label, which sizes its instructions.
+  struct BlockRefs {
+    std::string_view Succs[2];
+    unsigned NumSuccs = 0;
+    std::string_view Preds;
+    unsigned Lines = 0;
+  };
+  std::vector<BlockRefs> Refs;
+  std::vector<Operand> Ops; ///< Operand scratch, reused per line.
   std::string Error;
   unsigned LineNo = 0;
   /// Register ids whose class annotation has been seen; a later token
   /// naming a different class is a conflict, not a silent overwrite.
   std::vector<char> SeenClass;
 
-  bool fail(const std::string &Msg) {
-    if (Error.empty())
-      Error = "line " + std::to_string(LineNo) + ": " + Msg;
+  /// Records the first diagnostic, prefixed with the current line.
+  bool fail(std::string_view Msg, std::string_view Quoted = {},
+            std::string_view Close = {}) {
+    if (Error.empty()) {
+      Error = "line " + std::to_string(LineNo) + ": ";
+      Error.append(Msg).append(Quoted).append(Close);
+    }
     return false;
   }
 
-  static std::string trim(const std::string &S) {
-    size_t B = S.find_first_not_of(" \t\r");
-    if (B == std::string::npos)
-      return "";
-    size_t E = S.find_last_not_of(" \t\r");
-    return S.substr(B, E - B + 1);
+  BasicBlock *findBlock(std::string_view Name) const {
+    auto It = BlocksByName.find(Name);
+    return It == BlocksByName.end() ? nullptr : It->second;
   }
 
   /// Ensures register id \p Id exists with the given class (and optional
@@ -89,16 +189,14 @@ class Parser {
       F->createVReg(RegClass::GPR);
       SeenClass.push_back(0);
     }
-    if (SeenClass.size() < F->numVRegs())
-      SeenClass.resize(F->numVRegs(), 0);
     VRegInfo &Info = F->vregInfo(VReg(Id));
     if (SeenClass[Id] && Info.Class != RC)
-      return fail("conflicting register class for v" + std::to_string(Id));
+      return fail("conflicting register class for v", std::to_string(Id));
     SeenClass[Id] = 1;
     Info.Class = RC;
     if (Pin >= 0) {
       if (Info.PinnedReg >= 0 && Info.PinnedReg != Pin)
-        return fail("conflicting pin for v" + std::to_string(Id));
+        return fail("conflicting pin for v", std::to_string(Id));
       Info.PinnedReg = Pin;
     }
     return true;
@@ -106,23 +204,23 @@ class Parser {
 
   /// Parses a register token `v<id>[(pinned:r<k>)][f]` starting at \p Pos
   /// of \p S; advances \p Pos past it.
-  bool parseVReg(const std::string &S, size_t &Pos, VReg &Out) {
+  bool parseVReg(std::string_view S, size_t &Pos, VReg &Out) {
     if (Pos >= S.size() || S[Pos] != 'v')
-      return fail("expected register token in '" + S + "'");
+      return fail("expected register token in '", S, "'");
     size_t P = Pos + 1;
     std::uint64_t Id64 = 0;
     if (!parseDigits(S, P, MaxVRegId, Id64))
-      return fail("malformed or out-of-range register token in '" + S + "'");
+      return fail("malformed or out-of-range register token in '", S, "'");
     unsigned Id = static_cast<unsigned>(Id64);
     int Pin = -1;
-    if (S.compare(P, 9, "(pinned:r") == 0) {
+    if (P < S.size() && S[P] == '(' && S.compare(P, 9, "(pinned:r") == 0) {
       size_t Close = S.find(')', P);
-      if (Close == std::string::npos)
+      if (Close == std::string_view::npos)
         return fail("unterminated pin annotation");
       size_t PinPos = P + 9;
       std::uint64_t Pin64 = 0;
       if (!parseDigits(S, PinPos, 100000, Pin64) || PinPos != Close)
-        return fail("malformed pin annotation in '" + S + "'");
+        return fail("malformed pin annotation in '", S, "'");
       Pin = static_cast<int>(Pin64);
       P = Close + 1;
     }
@@ -138,123 +236,107 @@ class Parser {
     return true;
   }
 
-  /// Splits a comma-separated operand list (registers and integers).
-  bool parseOperands(const std::string &S, std::vector<Operand> &Ops,
-                     int &Callee) {
-    std::string Rest = trim(S);
+  /// Splits a comma-separated operand list (registers and integers) into
+  /// Ops.
+  bool parseOperands(std::string_view S, int &Callee) {
+    Ops.clear();
+    std::string_view Rest = trim(S);
     while (!Rest.empty()) {
       if (Rest[0] == '@') {
-        if (Rest.compare(0, 2, "@f") != 0)
-          return fail("malformed callee token '" + Rest + "'");
+        if (!Rest.starts_with("@f"))
+          return fail("malformed callee token '", Rest, "'");
         size_t Pos = 2;
         std::uint64_t Callee64 = 0;
         if (!parseDigits(Rest, Pos, 1u << 30, Callee64) ||
             (Pos < Rest.size() && Rest[Pos] != ',' && Rest[Pos] != ' '))
-          return fail("malformed callee token '" + Rest + "'");
+          return fail("malformed callee token '", Rest, "'");
         Callee = static_cast<int>(Callee64);
         size_t Comma = Rest.find(',');
-        Rest = Comma == std::string::npos ? "" : trim(Rest.substr(Comma + 1));
+        Rest = Comma == std::string_view::npos ? std::string_view()
+                                               : trim(Rest.substr(Comma + 1));
         continue;
       }
+      Operand Op;
+      size_t Pos = 0;
       if (Rest[0] == 'v') {
-        Operand Op;
         Op.IsReg = true;
-        size_t Pos = 0;
         if (!parseVReg(Rest, Pos, Op.Reg))
           return false;
-        Ops.push_back(Op);
-        Rest = trim(Rest.substr(Pos));
-      } else if (Rest[0] == '-' ||
-                 std::isdigit(static_cast<unsigned char>(Rest[0]))) {
-        Operand Op;
-        bool Negative = Rest[0] == '-';
-        size_t Pos = Negative ? 1 : 0;
+      } else if (Rest[0] == '-' || isDigit(Rest[0])) {
+        const bool Negative = Rest[0] == '-';
+        Pos = Negative ? 1 : 0;
         std::uint64_t Mag = 0;
         if (!parseDigits(Rest, Pos,
                          static_cast<std::uint64_t>(
                              std::numeric_limits<std::int64_t>::max()),
                          Mag))
-          return fail("malformed or out-of-range immediate in '" + Rest +
-                      "'");
+          return fail("malformed or out-of-range immediate in '", Rest, "'");
         Op.Imm = Negative ? -static_cast<std::int64_t>(Mag)
                           : static_cast<std::int64_t>(Mag);
-        Ops.push_back(Op);
-        Rest = trim(Rest.substr(Pos));
       } else {
-        return fail("unexpected operand text '" + Rest + "'");
+        return fail("unexpected operand text '", Rest, "'");
       }
+      Ops.push_back(Op);
+      Rest = trim(Rest.substr(Pos));
       if (!Rest.empty()) {
         if (Rest[0] == ',')
           Rest = trim(Rest.substr(1));
         else if (Rest[0] != '@') // The callee token follows a space.
-          return fail("expected ',' in operand list at '" + Rest + "'");
+          return fail("expected ',' in operand list at '", Rest, "'");
       }
     }
     return true;
   }
 
-  static Opcode *opcodeByName(const std::string &Name) {
-    static std::map<std::string, Opcode> Table = {
-        {"loadimm", Opcode::LoadImm},   {"move", Opcode::Move},
-        {"load", Opcode::Load},         {"store", Opcode::Store},
-        {"add", Opcode::Add},           {"sub", Opcode::Sub},
-        {"mul", Opcode::Mul},           {"addimm", Opcode::AddImm},
-        {"cmplt", Opcode::CmpLT},       {"cmpeq", Opcode::CmpEQ},
-        {"br", Opcode::Branch},         {"condbr", Opcode::CondBranch},
-        {"call", Opcode::Call},         {"ret", Opcode::Ret},
-        {"phi", Opcode::Phi},           {"spillload", Opcode::SpillLoad},
-        {"spillstore", Opcode::SpillStore}};
-    auto It = Table.find(Name);
-    return It == Table.end() ? nullptr : &It->second;
-  }
-
-  bool parseInstruction(BasicBlock *BB, std::string Body) {
+  bool parseInstruction(BasicBlock *BB, std::string_view Body) {
     // Flags ride in the comment tail.
     bool PairHead = false, Spill = false, Narrow = false;
-    if (size_t C = Body.find("  ;"); C != std::string::npos) {
-      std::string Comment = Body.substr(C);
-      PairHead = Comment.find("pair-head") != std::string::npos;
-      Spill = Comment.find("; spill") != std::string::npos;
-      Narrow = Comment.find("narrow") != std::string::npos;
+    if (size_t C = findByRareChar(Body, "  ;", 2);
+        C != std::string_view::npos) {
+      std::string_view Comment = Body.substr(C);
+      PairHead = Comment.find("pair-head") != std::string_view::npos;
+      Spill = Comment.find("; spill") != std::string_view::npos;
+      Narrow = Comment.find("narrow") != std::string_view::npos;
       Body = trim(Body.substr(0, C));
     }
 
     // Successor names after "->".
-    std::vector<std::string> Succs;
-    if (size_t Arrow = Body.find("->"); Arrow != std::string::npos) {
-      std::istringstream SS(Body.substr(Arrow + 2));
-      std::string Name;
-      while (SS >> Name)
-        Succs.push_back(Name);
+    std::string_view SuccText;
+    if (size_t Arrow = findByRareChar(Body, "->", 0);
+        Arrow != std::string_view::npos) {
+      SuccText = Body.substr(Arrow + 2);
       Body = trim(Body.substr(0, Arrow));
     }
 
     // Optional "def = ".
     VReg Def;
-    if (size_t Eq = Body.find(" = "); Eq != std::string::npos) {
+    if (size_t Eq = findByRareChar(Body, " = ", 1);
+        Eq != std::string_view::npos) {
       size_t Pos = 0;
-      std::string DefTok = trim(Body.substr(0, Eq));
+      std::string_view DefTok = trim(Body.substr(0, Eq));
       if (!parseVReg(DefTok, Pos, Def) || Pos != DefTok.size())
-        return fail("malformed definition '" + DefTok + "'");
+        return fail("malformed definition '", DefTok, "'");
       Body = trim(Body.substr(Eq + 3));
     }
 
-    size_t Space = Body.find_first_of(" \t");
-    std::string OpName =
-        Space == std::string::npos ? Body : Body.substr(0, Space);
-    std::string Tail =
-        Space == std::string::npos ? "" : trim(Body.substr(Space));
-    Opcode *Op = opcodeByName(OpName);
+    size_t Space = 0;
+    while (Space != Body.size() && Body[Space] != ' ' && Body[Space] != '\t')
+      ++Space;
+    std::string_view OpName = Body.substr(0, Space);
+    std::string_view Tail = trim(Body.substr(Space));
+    std::optional<Opcode> Op = opcodeByName(OpName);
     if (!Op)
-      return fail("unknown opcode '" + OpName + "'");
+      return fail("unknown opcode '", OpName, "'");
 
     int Callee = -1;
-    std::vector<Operand> Ops;
-    if (!parseOperands(Tail, Ops, Callee))
+    if (!parseOperands(Tail, Callee))
       return false;
 
     // Assemble: registers become uses, a trailing integer the immediate.
     std::vector<VReg> Uses;
+    Uses.reserve(static_cast<size_t>(
+        std::count_if(Ops.begin(), Ops.end(),
+                      [](const Operand &O) { return O.IsReg; })));
     std::int64_t Imm = 0;
     bool SawImm = false;
     for (const Operand &O : Ops) {
@@ -279,171 +361,191 @@ class Parser {
 
     if (Def.isValid() != opcodeMayDefine(*Op) &&
         !(*Op == Opcode::Call && !Def.isValid()))
-      return fail("definition arity mismatch for '" + OpName + "'");
+      return fail("definition arity mismatch for '", OpName, "'");
     int WantUses = opcodeNumUses(*Op);
     if (WantUses >= 0 && static_cast<int>(Uses.size()) != WantUses)
-      return fail("operand count mismatch for '" + OpName + "'");
+      return fail("operand count mismatch for '", OpName, "'");
 
+    if (!BB->empty() && BB->instructions().back().isTerminatorInst())
+      return fail("instruction after terminator");
     Instruction I(*Op, Def, std::move(Uses), Imm);
     I.setPairHead(PairHead);
     I.setSpillCode(Spill);
     I.setNarrowDef(Narrow);
-    if (!BB->empty() && BB->instructions().back().isTerminatorInst())
-      return fail("instruction after terminator");
     BB->append(std::move(I));
 
     if (isTerminator(*Op) && *Op != Opcode::Ret) {
-      unsigned Want = *Op == Opcode::Branch ? 1 : 2;
-      if (Succs.size() != Want)
-        return fail("successor count mismatch for '" + OpName + "'");
-      SuccNames[BB->id()] = Succs;
+      BlockRefs &R = Refs[BB->id()];
+      const unsigned Want = *Op == Opcode::Branch ? 1 : 2;
+      unsigned Words = 0;
+      for (std::string_view Name; nextWord(SuccText, Name); ++Words)
+        if (Words < Want)
+          R.Succs[Words] = Name;
+      if (Words != Want)
+        return fail("successor count mismatch for '", OpName, "'");
+      R.NumSuccs = Want;
+    }
+    return true;
+  }
+
+  /// The label scan: the function header and the block labels, in order.
+  bool scanLabels() {
+    std::string_view Rest = Text, Raw;
+    for (LineNo = 1; nextLine(Rest, Raw); ++LineNo) {
+      if (F && !Refs.empty() && isInstructionLine(Raw)) {
+        ++Refs.back().Lines;
+        continue;
+      }
+      std::string_view L = trim(Raw);
+      if (L.empty())
+        continue;
+      if (L.starts_with("func @")) {
+        if (F)
+          return fail("multiple func headers");
+        size_t Paren = L.find('(');
+        if (Paren == std::string_view::npos)
+          return fail("malformed func header");
+        F = std::make_unique<Function>(std::string(L.substr(6, Paren - 6)));
+        continue;
+      }
+      // Block label: "name:" optionally followed by a preds comment.
+      if (!F)
+        continue;
+      if (Raw.starts_with("  ")) {
+        if (!Refs.empty())
+          ++Refs.back().Lines;
+        continue;
+      }
+      size_t Colon = L.find(':');
+      if (Colon == std::string_view::npos)
+        continue;
+      std::string_view Name = L.substr(0, Colon);
+      if (Name.empty())
+        return fail("empty block label");
+      auto [It, Fresh] = BlocksByName.try_emplace(Name, nullptr);
+      if (!Fresh)
+        return fail("duplicate block label '", Name, "'");
+      It->second = F->createBlock(std::string(Name));
+      Refs.emplace_back();
+      if (size_t P = L.find("preds:"); P != std::string_view::npos)
+        Refs.back().Preds = L.substr(P + 6);
+    }
+    if (!F)
+      return fail("no func header found");
+    for (unsigned Id = 0; Id != Refs.size(); ++Id)
+      F->block(Id)->instructions().reserve(Refs[Id].Lines);
+    return true;
+  }
+
+  /// The parameters of the header line \p L.
+  bool parseParams(std::string_view L) {
+    size_t Paren = L.find('(');
+    size_t Close = L.rfind(')');
+    if (Close == std::string_view::npos || Close < Paren)
+      return fail("malformed func header");
+    int Callee = -1;
+    if (!parseOperands(L.substr(Paren + 1, Close - Paren - 1), Callee))
+      return false;
+    for (const Operand &P : Ops) {
+      if (!P.IsReg || !F->isPinned(P.Reg)) {
+        // Recorded, but the scan goes on: the first diagnostic stands.
+        fail("parameters must be pinned registers");
+        break;
+      }
+      F->registerParam(P.Reg);
+    }
+    return true;
+  }
+
+  /// The second scan: parameters and instructions.
+  bool parseBody() {
+    std::string_view Rest = Text, Raw;
+    BasicBlock *Current = nullptr;
+    for (LineNo = 1; nextLine(Rest, Raw); ++LineNo) {
+      if (Current && isInstructionLine(Raw)) {
+        if (!parseInstruction(Current, trim(Raw.substr(2))))
+          return false;
+        continue;
+      }
+      std::string_view L = trim(Raw);
+      if (L.empty())
+        continue;
+      if (L.starts_with("func @")) {
+        if (!parseParams(L))
+          return false;
+        continue;
+      }
+      if (!Raw.starts_with("  ")) {
+        // Block label line.
+        if (size_t Colon = L.find(':'); Colon != std::string_view::npos)
+          if (BasicBlock *BB = findBlock(L.substr(0, Colon)))
+            Current = BB;
+        continue;
+      }
+      if (!Current)
+        return fail("instruction before any block label");
+      if (!parseInstruction(Current, L))
+        return false;
+    }
+    return Error.empty();
+  }
+
+  /// Wires the CFG in block-id order, then restores the annotated
+  /// predecessor order (phis index into it). Unknown names get no line.
+  bool wireEdges(std::string &Err) {
+    std::vector<BasicBlock *> Order;
+    for (unsigned Id = 0; Id != Refs.size(); ++Id) {
+      const BlockRefs &R = Refs[Id];
+      if (R.NumSuccs == 0)
+        continue;
+      Order.clear();
+      for (unsigned I = 0; I != R.NumSuccs; ++I) {
+        BasicBlock *S = findBlock(R.Succs[I]);
+        if (!S) {
+          Err = "unknown successor block '";
+          Err.append(R.Succs[I]).append("'");
+          return false;
+        }
+        Order.push_back(S);
+      }
+      F->setEdges(F->block(Id), Order);
+    }
+    for (unsigned Id = 0; Id != Refs.size(); ++Id) {
+      Order.clear();
+      std::string_view Rest = Refs[Id].Preds, Name;
+      while (nextWord(Rest, Name)) {
+        BasicBlock *P = findBlock(Name);
+        if (!P) {
+          Err = "unknown predecessor block '";
+          Err.append(Name).append("'");
+          return false;
+        }
+        Order.push_back(P);
+      }
+      if (Order.empty())
+        continue;
+      BasicBlock *BB = F->block(Id);
+      const std::vector<BasicBlock *> &Existing = BB->predecessors();
+      if (!std::is_permutation(Order.begin(), Order.end(), Existing.begin(),
+                               Existing.end())) {
+        Err = "preds annotation of '" + BB->name() +
+              "' disagrees with the CFG";
+        return false;
+      }
+      F->reorderPredecessors(BB, Order);
     }
     return true;
   }
 
 public:
-  std::unique_ptr<Function> run(const std::string &Text, std::string &Err) {
-    std::istringstream In(Text);
-    std::string Line;
-    while (std::getline(In, Line))
-      Lines.push_back(Line);
-
-    // Pass 1: the function header and the block labels, in order.
-    for (LineNo = 1; LineNo <= Lines.size(); ++LineNo) {
-      std::string L = trim(Lines[LineNo - 1]);
-      if (L.empty())
-        continue;
-      if (L.compare(0, 6, "func @") == 0) {
-        if (F) {
-          fail("multiple func headers");
-          break;
-        }
-        size_t Paren = L.find('(');
-        if (Paren == std::string::npos) {
-          fail("malformed func header");
-          break;
-        }
-        F = std::make_unique<Function>(L.substr(6, Paren - 6));
-        continue;
-      }
-      // Block label: "name:" optionally followed by a preds comment.
-      if (!F || Lines[LineNo - 1].compare(0, 2, "  ") == 0)
-        continue;
-      size_t Colon = L.find(':');
-      if (Colon == std::string::npos)
-        continue;
-      std::string Name = L.substr(0, Colon);
-      if (Name.empty()) {
-        fail("empty block label");
-        break;
-      }
-      if (BlocksByName.count(Name)) {
-        fail("duplicate block label '" + Name + "'");
-        break;
-      }
-      BasicBlock *BB = F->createBlock(Name);
-      BlocksByName[Name] = BB;
-      if (size_t P = L.find("preds:"); P != std::string::npos) {
-        std::istringstream SS(L.substr(P + 6));
-        std::string PredName;
-        while (SS >> PredName)
-          PredNames[BB->id()].push_back(PredName);
-      }
-    }
-    if (!F && Error.empty())
-      fail("no func header found");
-    if (!Error.empty()) {
+  std::unique_ptr<Function> run(const std::string &TextIn, std::string &Err) {
+    Text = TextIn;
+    if (!scanLabels() || !parseBody()) {
       Err = Error;
       return nullptr;
     }
-
-    // Pass 2: parameters and instructions.
-    BasicBlock *Current = nullptr;
-    for (LineNo = 1; LineNo <= Lines.size(); ++LineNo) {
-      const std::string &Raw = Lines[LineNo - 1];
-      std::string L = trim(Raw);
-      if (L.empty())
-        continue;
-      if (L.compare(0, 6, "func @") == 0) {
-        size_t Paren = L.find('(');
-        size_t Close = L.rfind(')');
-        if (Close == std::string::npos || Close < Paren) {
-          fail("malformed func header");
-          break;
-        }
-        std::string ParamList = L.substr(Paren + 1, Close - Paren - 1);
-        std::vector<Operand> Params;
-        int Callee = -1;
-        if (!parseOperands(ParamList, Params, Callee))
-          break;
-        for (const Operand &P : Params) {
-          if (!P.IsReg || !F->isPinned(P.Reg)) {
-            fail("parameters must be pinned registers");
-            break;
-          }
-          F->registerParam(P.Reg);
-        }
-        continue;
-      }
-      if (Raw.compare(0, 2, "  ") != 0) {
-        // Block label line.
-        size_t Colon = L.find(':');
-        if (Colon != std::string::npos) {
-          auto It = BlocksByName.find(L.substr(0, Colon));
-          if (It != BlocksByName.end())
-            Current = It->second;
-        }
-        continue;
-      }
-      if (!Current) {
-        fail("instruction before any block label");
-        break;
-      }
-      if (!parseInstruction(Current, L))
-        break;
-    }
-    if (!Error.empty()) {
-      Err = Error;
+    if (!wireEdges(Err))
       return nullptr;
-    }
-
-    // Wire the CFG in block-id order, then restore the annotated
-    // predecessor order (phis index into it).
-    for (auto &[Id, Names] : SuccNames) {
-      BasicBlock *BB = F->block(Id);
-      std::vector<BasicBlock *> Succs;
-      for (const std::string &Name : Names) {
-        auto It = BlocksByName.find(Name);
-        if (It == BlocksByName.end()) {
-          Err = "unknown successor block '" + Name + "'";
-          return nullptr;
-        }
-        Succs.push_back(It->second);
-      }
-      F->setEdges(BB, Succs);
-    }
-    for (auto &[Id, Names] : PredNames) {
-      if (Names.empty())
-        continue;
-      BasicBlock *BB = F->block(Id);
-      std::vector<BasicBlock *> Order;
-      for (const std::string &Name : Names) {
-        auto It = BlocksByName.find(Name);
-        if (It == BlocksByName.end()) {
-          Err = "unknown predecessor block '" + Name + "'";
-          return nullptr;
-        }
-        Order.push_back(It->second);
-      }
-      const std::vector<BasicBlock *> &Existing = BB->predecessors();
-      if (!std::is_permutation(Order.begin(), Order.end(),
-                               Existing.begin(), Existing.end())) {
-        Err = "preds annotation of '" + BB->name() +
-              "' disagrees with the CFG";
-        return nullptr;
-      }
-      F->reorderPredecessors(BB, Order);
-    }
     return std::move(F);
   }
 };

@@ -15,6 +15,7 @@
 #include "sim/Interpreter.h"
 #include "workloads/Figure7.h"
 #include "workloads/Generator.h"
+#include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,23 @@ TEST(Parser, RoundTripsGeneratedFunctionsWithSemantics) {
     // Same observable behaviour.
     EXPECT_EQ(runVirtual(*F, {5, 6}), runVirtual(*Parsed, {5, 6}))
         << "seed " << Seed;
+  }
+
+  // Print-parse-print is a fixed point on the benchmark's traffic: every
+  // suite function and the ~10^4-vreg mega profile.
+  std::vector<std::pair<std::string, std::unique_ptr<Function>>> Traffic;
+  for (const WorkloadSuite &S : specJvmLikeSuites())
+    for (unsigned I = 0; I != S.Functions.size(); ++I)
+      Traffic.emplace_back(S.Name + "/" + std::to_string(I),
+                           S.generate(I, Target));
+  Traffic.emplace_back("mega",
+                       generateFunction(megaFunctionProfile(), Target));
+  for (const auto &[Name, F] : Traffic) {
+    std::string Text = printFunction(*F);
+    std::string Error;
+    std::unique_ptr<Function> Parsed = parseFunction(Text, Error);
+    ASSERT_NE(Parsed, nullptr) << Name << ": " << Error;
+    EXPECT_EQ(printFunction(*Parsed), Text) << Name;
   }
 }
 

@@ -158,6 +158,38 @@ TEST(ParserNegative, PredecessorCommentDisagreesWithCFG) {
                  "unknown predecessor block 'nowhere'");
 }
 
+TEST(ParserNegative, EveryInstructionDiagnosticHasItsExactText) {
+  // One input per diagnostic that no case above reaches, with the full
+  // text the tools print: the line, the message and the quoted token.
+  const std::string Head = "func @f(v0(pinned:r0))\nentry:\n";
+  const std::pair<std::string, std::string> Cases[] = {
+      {Head + "  x1 = loadimm 1\n", "line 3: expected register token in 'x1'"},
+      {Head + "  v1x = loadimm 1\n", "line 3: malformed definition 'v1x'"},
+      {Head + "  v1 = move x\n", "line 3: unexpected operand text 'x'"},
+      {Head + "  v1 = add v0 v0\n",
+       "line 3: expected ',' in operand list at 'v0'"},
+      {Head + "  v1 = addimm 5, v0\n",
+       "line 3: register operand after immediate"},
+      {Head + "  v1 = loadimm 1, 2\n", "line 3: multiple immediates"},
+      {Head + "  call\n", "line 3: call without a callee"},
+      {Head + "  v1 = loadimm 1 @f2\n", "line 3: callee token on a non-call"},
+      {Head + "  v1 = store v0, v0, 0\n",
+       "line 3: definition arity mismatch for 'store'"},
+      {Head + "  ret\n  ret\n", "line 4: instruction after terminator"},
+      {Head + "  br  -> entry entry\n",
+       "line 3: successor count mismatch for 'br'"},
+      {Head + "  br  -> nowhere\n", "unknown successor block 'nowhere'"},
+      {"func @f(v0)\nentry:\n  ret\n",
+       "line 1: parameters must be pinned registers"},
+      {"func @f(\nentry:\n  ret\n", "line 1: malformed func header"},
+  };
+  for (const auto &[Text, Want] : Cases) {
+    std::string Error;
+    EXPECT_EQ(parseFunction(Text, Error), nullptr) << Text;
+    EXPECT_EQ(Error, Want) << Text;
+  }
+}
+
 TEST(ParserNegative, RejectionIsStateless) {
   // A rejected parse must not poison a following good parse.
   std::string Error;

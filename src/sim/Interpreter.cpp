@@ -24,6 +24,22 @@ std::uint64_t mix64(std::uint64_t X) {
   return X;
 }
 
+/// Integer arithmetic of the simulated machine: 64-bit two's complement
+/// that wraps on overflow. Computed in std::uint64_t, because overflowing
+/// std::int64_t is undefined behaviour.
+std::int64_t wrapAdd(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) +
+                                   static_cast<std::uint64_t>(B));
+}
+std::int64_t wrapSub(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) -
+                                   static_cast<std::uint64_t>(B));
+}
+std::int64_t wrapMul(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) *
+                                   static_cast<std::uint64_t>(B));
+}
+
 /// Register/slot storage for both interpretation modes.
 class MachineState {
   const Function &F;
@@ -191,7 +207,8 @@ private:
           State.writeFp(Inst.def(), State.readFp(Inst.use(0)));
         break;
       case Opcode::Load: {
-        unsigned Idx = heapIndex(State.readInt(Inst.use(0)) + Inst.imm());
+        unsigned Idx =
+            heapIndex(wrapAdd(State.readInt(Inst.use(0)), Inst.imm()));
         if (F.regClass(Inst.def()) == RegClass::GPR)
           State.writeInt(Inst.def(), IntHeap[Idx]);
         else
@@ -199,7 +216,8 @@ private:
         break;
       }
       case Opcode::Store: {
-        unsigned Idx = heapIndex(State.readInt(Inst.use(1)) + Inst.imm());
+        unsigned Idx =
+            heapIndex(wrapAdd(State.readInt(Inst.use(1)), Inst.imm()));
         if (F.regClass(Inst.use(0)) == RegClass::GPR) {
           IntHeap[Idx] = State.readInt(Inst.use(0));
           digestStore(1, Idx, static_cast<std::uint64_t>(IntHeap[Idx]));
@@ -215,9 +233,9 @@ private:
         if (F.regClass(Inst.def()) == RegClass::GPR) {
           std::int64_t A = State.readInt(Inst.use(0));
           std::int64_t B = State.readInt(Inst.use(1));
-          std::int64_t R = Inst.opcode() == Opcode::Add   ? A + B
-                           : Inst.opcode() == Opcode::Sub ? A - B
-                                                          : A * B;
+          std::int64_t R = Inst.opcode() == Opcode::Add   ? wrapAdd(A, B)
+                           : Inst.opcode() == Opcode::Sub ? wrapSub(A, B)
+                                                          : wrapMul(A, B);
           State.writeInt(Inst.def(), R);
         } else {
           double A = State.readFp(Inst.use(0));
@@ -230,7 +248,8 @@ private:
         break;
       case Opcode::AddImm:
         if (F.regClass(Inst.def()) == RegClass::GPR)
-          State.writeInt(Inst.def(), State.readInt(Inst.use(0)) + Inst.imm());
+          State.writeInt(Inst.def(),
+                         wrapAdd(State.readInt(Inst.use(0)), Inst.imm()));
         else
           State.writeFp(Inst.def(), State.readFp(Inst.use(0)) +
                                         static_cast<double>(Inst.imm()));

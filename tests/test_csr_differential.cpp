@@ -27,6 +27,7 @@
 #include "ir/IRParser.h"
 #include "ir/PhiElimination.h"
 #include "regalloc/BatchDriver.h"
+#include "regalloc/Coalescer.h"
 #include "regalloc/Driver.h"
 #include "regalloc/Simplifier.h"
 #include "support/Arena.h"
@@ -158,13 +159,13 @@ TEST(InterferenceDifferential, RowsStaySymmetricUnderMerges) {
   InterferenceGraph IG = InterferenceGraph::build(*A.F, A.LV, A.LI);
 
   // Merge every coalescable move endpoint pair we can (the aggressive
-  // coalescer's policy, minus the frills).
+  // coalescer's policy, minus the frills): the pairs the coalescer's own
+  // legality test accepts, with a precolored endpoint kept as the
+  // survivor.
   unsigned Merges = 0;
   for (const MoveRecord &MV : IG.moves()) {
     unsigned Dst = MV.Dst, Src = MV.Src;
-    if (Dst == Src || IG.isMerged(Dst) || IG.isMerged(Src) ||
-        IG.interferes(Dst, Src) || IG.regClass(Dst) != IG.regClass(Src) ||
-        IG.isPrecolored(Src))
+    if (!canMergePair(IG, Dst, Src) || IG.isPrecolored(Src))
       continue;
     IG.merge(Dst, Src);
     ++Merges;

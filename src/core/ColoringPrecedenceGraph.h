@@ -28,9 +28,9 @@
 /// reaches. That is the unique transitive reduction, in push order, which
 /// the select queue's tie-breaking depends on.
 ///
-/// An edge A -> B means "A must be colored before B". The
-/// conventional top/bottom nodes of the paper are kept implicit: the
-/// successors of `top` are exactly the nodes with no incoming edge.
+/// An edge A -> B means "A must be colored before B". The conventional
+/// top/bottom nodes of the paper are kept implicit: the successors of
+/// `top` are exactly the nodes with no incoming edge.
 ///
 /// Storage: the builder works on mutable arena rows (support/CsrGraph.h)
 /// sized by interference degree, with its scratch carved from the same

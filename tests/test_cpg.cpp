@@ -218,12 +218,6 @@ struct CpgPropertyCase {
   unsigned Regs;
 };
 
-/// Names the parameter in test listings ("s500/r16") instead of a byte
-/// dump that changes from build to build.
-void PrintTo(const CpgPropertyCase &C, std::ostream *OS) {
-  *OS << "s" << C.Seed << "/r" << C.Regs;
-}
-
 class CpgProperty : public ::testing::TestWithParam<CpgPropertyCase> {};
 
 TEST_P(CpgProperty, PartialOrderPreservesColorability) {

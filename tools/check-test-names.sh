@@ -20,7 +20,7 @@
 
 set -u
 
-PENDING="Matrix/AllAllocators"
+PENDING="Matrix/AllAllocators Sweep/CpgProperty"
 
 status=0
 for bin in "$@"; do

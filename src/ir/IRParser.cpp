@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -58,14 +57,6 @@ std::string_view trim(std::string_view S) {
   while (!S.empty() && isBlank(S.back()))
     S.remove_suffix(1);
   return S;
-}
-
-/// True for an indented line whose first character cannot start a func
-/// header: the lexer takes it as an instruction line without the checks
-/// a header or label line needs, which it would pass anyway.
-bool isInstructionLine(std::string_view Raw) {
-  return Raw.size() > 2 && Raw.starts_with("  ") && !isBlank(Raw[2]) &&
-         Raw[2] != 'f';
 }
 
 /// Takes the next line off \p Rest: up to the next '\n', with no empty
@@ -112,22 +103,6 @@ bool parseDigits(std::string_view S, size_t &Pos, std::uint64_t Max,
   return true;
 }
 
-/// The first occurrence of \p Pat in \p S. Candidates come from memchr
-/// on the pattern's character at \p Key, which is rare in the IR, so a
-/// line costs one vectorised scan instead of a comparison at every blank.
-size_t findByRareChar(std::string_view S, std::string_view Pat, size_t Key) {
-  for (size_t From = Key; From < S.size();) {
-    const void *Hit = std::memchr(S.data() + From, Pat[Key], S.size() - From);
-    if (!Hit)
-      break;
-    const size_t Start = static_cast<const char *>(Hit) - S.data() - Key;
-    if (S.substr(Start, Pat.size()) == Pat)
-      return Start;
-    From = Start + Key + 1;
-  }
-  return std::string_view::npos;
-}
-
 /// The opcode a mnemonic names, from a table built once out of
 /// opcodeName(), so the printer and the parser spell each mnemonic alike.
 std::optional<Opcode> opcodeByName(std::string_view Name) {
@@ -139,8 +114,8 @@ std::optional<Opcode> opcodeByName(std::string_view Name) {
                      static_cast<Opcode>(I));
     return T;
   }();
-  for (const auto &[Key, Op] : Table) // The first letters settle most.
-    if (Key.size() == Name.size() && Key[0] == Name[0] && Key == Name)
+  for (const auto &[Key, Op] : Table)
+    if (Key == Name)
       return Op;
   return std::nullopt;
 }
@@ -150,14 +125,12 @@ class Parser {
   std::unique_ptr<Function> F;
   std::unordered_map<std::string_view, BasicBlock *> BlocksByName;
   /// Per block id: the successor names of its br/condbr (one or two; the
-  /// count is zero for a block without one), the text after its label's
-  /// `preds:`, which restores the phi-relevant ordering, and the number
-  /// of indented lines under the label, which sizes its instructions.
+  /// count is zero for a block without one) and the text after its
+  /// label's `preds:`, which restores the phi-relevant ordering.
   struct BlockRefs {
     std::string_view Succs[2];
     unsigned NumSuccs = 0;
     std::string_view Preds;
-    unsigned Lines = 0;
   };
   std::vector<BlockRefs> Refs;
   std::vector<Operand> Ops; ///< Operand scratch, reused per line.
@@ -213,7 +186,7 @@ class Parser {
       return fail("malformed or out-of-range register token in '", S, "'");
     unsigned Id = static_cast<unsigned>(Id64);
     int Pin = -1;
-    if (P < S.size() && S[P] == '(' && S.compare(P, 9, "(pinned:r") == 0) {
+    if (S.compare(P, 9, "(pinned:r") == 0) {
       size_t Close = S.find(')', P);
       if (Close == std::string_view::npos)
         return fail("unterminated pin annotation");
@@ -291,8 +264,7 @@ class Parser {
   bool parseInstruction(BasicBlock *BB, std::string_view Body) {
     // Flags ride in the comment tail.
     bool PairHead = false, Spill = false, Narrow = false;
-    if (size_t C = findByRareChar(Body, "  ;", 2);
-        C != std::string_view::npos) {
+    if (size_t C = Body.find("  ;"); C != std::string_view::npos) {
       std::string_view Comment = Body.substr(C);
       PairHead = Comment.find("pair-head") != std::string_view::npos;
       Spill = Comment.find("; spill") != std::string_view::npos;
@@ -302,16 +274,14 @@ class Parser {
 
     // Successor names after "->".
     std::string_view SuccText;
-    if (size_t Arrow = findByRareChar(Body, "->", 0);
-        Arrow != std::string_view::npos) {
+    if (size_t Arrow = Body.find("->"); Arrow != std::string_view::npos) {
       SuccText = Body.substr(Arrow + 2);
       Body = trim(Body.substr(0, Arrow));
     }
 
     // Optional "def = ".
     VReg Def;
-    if (size_t Eq = findByRareChar(Body, " = ", 1);
-        Eq != std::string_view::npos) {
+    if (size_t Eq = Body.find(" = "); Eq != std::string_view::npos) {
       size_t Pos = 0;
       std::string_view DefTok = trim(Body.substr(0, Eq));
       if (!parseVReg(DefTok, Pos, Def) || Pos != DefTok.size())
@@ -334,9 +304,6 @@ class Parser {
 
     // Assemble: registers become uses, a trailing integer the immediate.
     std::vector<VReg> Uses;
-    Uses.reserve(static_cast<size_t>(
-        std::count_if(Ops.begin(), Ops.end(),
-                      [](const Operand &O) { return O.IsReg; })));
     std::int64_t Imm = 0;
     bool SawImm = false;
     for (const Operand &O : Ops) {
@@ -392,10 +359,6 @@ class Parser {
   bool scanLabels() {
     std::string_view Rest = Text, Raw;
     for (LineNo = 1; nextLine(Rest, Raw); ++LineNo) {
-      if (F && !Refs.empty() && isInstructionLine(Raw)) {
-        ++Refs.back().Lines;
-        continue;
-      }
       std::string_view L = trim(Raw);
       if (L.empty())
         continue;
@@ -409,13 +372,8 @@ class Parser {
         continue;
       }
       // Block label: "name:" optionally followed by a preds comment.
-      if (!F)
+      if (!F || Raw.starts_with("  "))
         continue;
-      if (Raw.starts_with("  ")) {
-        if (!Refs.empty())
-          ++Refs.back().Lines;
-        continue;
-      }
       size_t Colon = L.find(':');
       if (Colon == std::string_view::npos)
         continue;
@@ -432,8 +390,6 @@ class Parser {
     }
     if (!F)
       return fail("no func header found");
-    for (unsigned Id = 0; Id != Refs.size(); ++Id)
-      F->block(Id)->instructions().reserve(Refs[Id].Lines);
     return true;
   }
 
@@ -462,11 +418,6 @@ class Parser {
     std::string_view Rest = Text, Raw;
     BasicBlock *Current = nullptr;
     for (LineNo = 1; nextLine(Rest, Raw); ++LineNo) {
-      if (Current && isInstructionLine(Raw)) {
-        if (!parseInstruction(Current, trim(Raw.substr(2))))
-          return false;
-        continue;
-      }
       std::string_view L = trim(Raw);
       if (L.empty())
         continue;
